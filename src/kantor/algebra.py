@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from . import linsolve
 from .errors import DimMismatch, SymbolicEntries
@@ -31,6 +31,29 @@ def _as_poly(value) -> Poly:
     if isinstance(value, str):
         return parse_poly(value)
     raise TypeError(f"cannot use {value!r} as a structure constant")
+
+
+def render_combination(terms: Iterable[Tuple[Poly, str]]) -> str:
+    """Print ``c1*l1 + c2*l2 ...`` over the nonzero coefficients, or ``0``."""
+    pieces = []
+    for coeff, label in terms:
+        if coeff.is_zero():
+            continue
+        if coeff == 1:
+            body = label
+        elif coeff == -1:
+            body = f"-{label}"
+        elif coeff.is_constant() or len(coeff.terms) == 1:
+            body = f"{coeff}*{label}"
+        else:
+            body = f"({coeff})*{label}"
+        pieces.append(body)
+    if not pieces:
+        return "0"
+    out = pieces[0]
+    for piece in pieces[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
 
 
 class Element:
@@ -98,25 +121,7 @@ class Element:
 
     def render(self, labels: Sequence[str] | None = None) -> str:
         labels = labels or [f"e{i + 1}" for i in range(self.dim)]
-        pieces = []
-        for coeff, label in zip(self.coords, labels):
-            if coeff.is_zero():
-                continue
-            if coeff == 1:
-                body = label
-            elif coeff == -1:
-                body = f"-{label}"
-            elif coeff.is_constant() or len(coeff.terms) == 1:
-                body = f"{coeff}*{label}"
-            else:
-                body = f"({coeff})*{label}"
-            pieces.append(body)
-        if not pieces:
-            return "0"
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        return render_combination(zip(self.coords, labels))
 
     def __str__(self) -> str:
         return self.render()

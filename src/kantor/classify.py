@@ -16,8 +16,10 @@ bracket; the worked two-dimensional classification pins both.  The
 fixed-reference variant of stage 1 (a weaker, tabulated filter) is also
 available for comparison via the ``fixed_u`` argument.
 
-Every returned family is re-verified against the defining identities of
-the structure by direct expansion.
+Every returned family whose assignment is polynomial and which has no
+residual equations is re-verified against the defining identities of the
+structure by direct expansion.  Families with rational-function
+assignments or residual equations are returned without re-verification.
 """
 
 from __future__ import annotations
@@ -108,27 +110,17 @@ class SolutionFamily:
 
 # -- polynomial helpers -------------------------------------------------------
 
-def _coeffs_in(p: Poly, name: str) -> Dict[int, Poly]:
-    """Coefficients of the powers of ``name``: p = sum_k coeffs[k] * name^k."""
-    groups: Dict[int, Dict] = {}
-    for mono, coeff in p.terms.items():
-        e = 0
-        rest = []
-        for n, exp in mono:
-            if n == name:
-                e = exp
-            else:
-                rest.append((n, exp))
-        bucket = groups.setdefault(e, {})
-        key = tuple(rest)
-        bucket[key] = bucket.get(key, Fraction(0)) + coeff
-    return {e: Poly(bucket) for e, bucket in groups.items()}
+def _subst_rational(p: Poly, name: str, num: Poly, den: Poly, degree: int | None = None) -> Poly:
+    """den^degree * p with ``name := num/den`` (den assumed nonzero).
 
-
-def _subst_rational(p: Poly, name: str, num: Poly, den: Poly) -> Poly:
-    """p with ``name := num/den``, cleared of denominators (den assumed nonzero)."""
-    parts = _coeffs_in(p, name)
-    degree = max(parts) if parts else 0
+    ``degree`` defaults to the degree of p in ``name``, which clears every
+    denominator; a larger one keeps a numerator/denominator pair aligned.
+    """
+    parts = p.coeffs_in(name)
+    if degree is None:
+        degree = max(parts, default=0)
+    if degree == 0:
+        return p
     total = Poly.zero()
     for e, coeff in parts.items():
         total = total + coeff * num ** e * den ** (degree - e)
@@ -141,20 +133,13 @@ def _subst_rational_pair(
     """A rational value with ``name := num/den`` substituted in num and den."""
     vnum, vden = value
     deg = max(
-        max(_coeffs_in(vnum, name), default=0),
-        max(_coeffs_in(vden, name), default=0),
+        max(vnum.coeffs_in(name), default=0),
+        max(vden.coeffs_in(name), default=0),
     )
     if deg == 0:
         return value
-
-    def clear(p: Poly) -> Poly:
-        parts = _coeffs_in(p, name)
-        total = Poly.zero()
-        for e, coeff in parts.items():
-            total = total + coeff * num ** e * den ** (deg - e)
-        return total
-
-    new_num, new_den = clear(vnum), clear(vden)
+    new_num = _subst_rational(vnum, name, num, den, deg)
+    new_den = _subst_rational(vden, name, num, den, deg)
     if new_den.is_constant():
         new_num = new_num / new_den.constant_value()
         new_den = Poly.const(1)
@@ -190,7 +175,7 @@ def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
 
 def _univariate_roots(p: Poly, name: str) -> Optional[List[Fraction]]:
     """Rational roots of a univariate polynomial of degree <= 2, else None."""
-    parts = _coeffs_in(p, name)
+    parts = p.coeffs_in(name)
     coeffs = {e: c.constant_value() for e, c in parts.items()}
     degree = max(coeffs)
     if degree == 1:
@@ -271,11 +256,10 @@ def case_split_solve(
                 continue
             if q.is_constant():
                 return None
-            key = str(q)
-            if key not in seen:
-                seen.add(key)
+            if q not in seen:
+                seen.add(q)
                 out.append(q)
-        if set(str(q) for q in ineqs) & seen:
+        if not seen.isdisjoint(ineqs):
             return None
         return out
 
@@ -286,7 +270,7 @@ def case_split_solve(
             return None
         out = list(ineqs)
         for part in _split_inequation(q):
-            if str(part) not in set(str(r) for r in out):
+            if part not in out:
                 out.append(part)
         return out
 
@@ -340,17 +324,23 @@ def case_split_solve(
             emit(assign_order, [], ineqs, labels)
             return
 
-        # 1. Unknowns occurring linearly with a rational coefficient.
+        # 1. Unknowns occurring linearly with a rational coefficient.  The
+        #    other linear occurrences are kept for step 4.
+        linear = []
         for q in eqs:
+            present = q.names()
             for name in unknowns:
-                if q.degree_in([name]) != 1:
+                if name not in present:
                     continue
-                c = q.coefficient(name)
-                if not c.is_constant():
+                parts = q.coeffs_in(name)
+                if max(parts) != 1:
                     continue
-                value = -q.drop(name) / c.constant_value()
-                assign_and_descend(eqs, q, name, value, assign_order, ineqs, labels, depth)
-                return
+                c, d = parts[1], parts.get(0, Poly.zero())
+                if c.is_constant():
+                    value = -d / c.constant_value()
+                    assign_and_descend(eqs, q, name, value, assign_order, ineqs, labels, depth)
+                    return
+                linear.append((len(c.terms), len(q.terms), name, q, c, d))
 
         # 2. Univariate equations of degree <= 2 with rational roots.
         for q in eqs:
@@ -388,37 +378,28 @@ def case_split_solve(
 
         # 4. Branch on a linear occurrence with a polynomial coefficient;
         #    prefer the smallest coefficient.
-        if depth > 0:
-            candidates = []
-            for q in eqs:
-                for name in unknowns:
-                    if q.degree_in([name]) == 1:
-                        c = q.coefficient(name)
-                        candidates.append((len(c.terms), len(q.terms), name, q, c))
-            if candidates:
-                candidates.sort(key=lambda item: (item[0], item[1], item[2]))
-                _, _, name, q, c = candidates[0]
-                d = q.drop(name)
-                rest = [e for e in eqs if e is not q]
-                branch_ineqs = add_inequations(ineqs, c)
-                if branch_ineqs is not None:
-                    new_eqs, new_ineqs = substitute_all(rest, branch_ineqs, name, -d, c)
-                    if new_eqs is not None:
-                        descend(
-                            new_eqs,
-                            assign_order + [(name, (-d, c))],
-                            new_ineqs,
-                            labels + [f"{c} != 0"],
-                            depth - 1,
-                        )
-                descend(
-                    eqs + [c],
-                    assign_order,
-                    ineqs,
-                    labels + [f"{c} = 0"],
-                    depth - 1,
-                )
-                return
+        if depth > 0 and linear:
+            _, _, name, q, c, d = min(linear, key=lambda item: item[:3])
+            rest = [e for e in eqs if e is not q]
+            branch_ineqs = add_inequations(ineqs, c)
+            if branch_ineqs is not None:
+                new_eqs, new_ineqs = substitute_all(rest, branch_ineqs, name, -d, c)
+                if new_eqs is not None:
+                    descend(
+                        new_eqs,
+                        assign_order + [(name, (-d, c))],
+                        new_ineqs,
+                        labels + [f"{c} != 0"],
+                        depth - 1,
+                    )
+            descend(
+                eqs + [c],
+                assign_order,
+                ineqs,
+                labels + [f"{c} = 0"],
+                depth - 1,
+            )
+            return
 
         emit(assign_order, eqs, ineqs, labels + ["depth cap"])
 

@@ -16,7 +16,14 @@ from pathlib import Path
 from . import catalog as catalog_mod
 from . import witt as witt_mod
 from .algebra import Element, Multiplication
-from .classify import generic_poisson_structures, poisson_structures, postlie_stage1, postlie_structures
+from .classify import (
+    antisymmetric_ansatz,
+    generic_poisson_structures,
+    poisson_structures,
+    postlie_stage1,
+    postlie_structures,
+    symmetric_ansatz,
+)
 from .errors import (
     CatalogSelfTestFailed,
     IndexOutOfRange,
@@ -25,7 +32,7 @@ from .errors import (
     UndeclaredParam,
     UnknownIdentity,
 )
-from .files import parse_algebra
+from .files import parse_algebra, render_algebra
 from .identities import builtin, builtin_names, check_identity
 from .poly import Poly
 from .product import kantor_product, kantor_square, right_kantor_product
@@ -44,7 +51,10 @@ class _CliFailure(Exception):
 
 
 def _load_ref(ref: str):
-    """Resolve ``catalog:NAME[:pair]`` or a file path to (mult, labels, algebra)."""
+    """Resolve ``catalog:NAME[:pair]`` or a file path to (mult, algebra, pair).
+
+    ``pair`` is the catalog entry's companion product, or None.
+    """
     if ref.startswith("catalog:"):
         parts = ref.split(":")
         key = parts[1]
@@ -57,13 +67,13 @@ def _load_ref(ref: str):
                 raise _CliFailure(PARSE_FAILURE, f"bad catalog reference {ref!r}")
             if entry.pair is None:
                 raise _CliFailure(PRECONDITION_FAILURE, f"{key} has no companion product")
-            return entry.pair, entry.algebra.labels, entry.algebra
-        return entry.mult, entry.algebra.labels, entry.algebra
+            return entry.pair, entry.algebra, entry.pair
+        return entry.mult, entry.algebra, entry.pair
     path = Path(ref)
     if not path.exists():
         raise _CliFailure(PARSE_FAILURE, f"no such file: {ref}")
     algebra = parse_algebra(path.read_text())
-    return algebra.mult, algebra.labels, algebra
+    return algebra.mult, algebra, None
 
 
 def _parse_u(spec: str | None, dim: int) -> Element | None:
@@ -129,32 +139,28 @@ def _family_payload(family):
 
 
 def _cmd_square(args) -> int:
-    mult, labels, _ = _load_ref(args.source)
+    mult, algebra, _ = _load_ref(args.source)
     u = _parse_u(args.u, mult.dim)
     square = right_kantor_product(mult, mult, u) if args.right else kantor_square(mult, u)
-    _print_table(square, labels, "*")
+    _print_table(square, algebra.labels, "*")
     return 0
 
 
 def _cmd_product(args) -> int:
-    a, labels, _ = _load_ref(args.first)
+    a, algebra, _ = _load_ref(args.first)
     b, _, _ = _load_ref(args.second)
     if a.dim != b.dim:
         raise _CliFailure(PRECONDITION_FAILURE, "operands have different dimensions")
     u = _parse_u(args.u, a.dim)
-    _print_table(kantor_product(a, b, u), labels, "*")
+    _print_table(kantor_product(a, b, u), algebra.labels, "*")
     return 0
 
 
 def _cmd_check(args) -> int:
-    mult, labels, algebra = _load_ref(args.source)
+    mult, algebra, pair = _load_ref(args.source)
     names = [n.strip() for n in args.id.split(",") if n.strip()]
     if not names:
         raise _CliFailure(PARSE_FAILURE, "no identity names given")
-    entry = None
-    if args.source.startswith("catalog:"):
-        entries = catalog_mod.load_catalog(selftest=False)
-        entry = entries.get(args.source.split(":")[1])
     failed = False
     for name in names:
         try:
@@ -168,12 +174,12 @@ def _cmd_check(args) -> int:
         if nslots == 1:
             mults = [mult]
         else:
-            if entry is None or entry.pair is None:
+            if pair is None:
                 raise _CliFailure(
                     PRECONDITION_FAILURE,
                     f"identity {name!r} needs a two-product catalog entry",
                 )
-            mults = [mult, entry.pair]
+            mults = [mult, pair]
         verdict = check_identity(mults, bundle, modulo=algebra.constraints)
         status = "holds" if verdict.holds else "FAILS"
         print(f"{name}: {status}")
@@ -184,27 +190,23 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    mult, labels, _ = _load_ref(args.source)
+    mult, algebra, _ = _load_ref(args.source)
+    labels = algebra.labels
     if args.kind == "poisson":
         families = poisson_structures(mult, max_depth=args.max_depth)
-        from .classify import antisymmetric_ansatz
-
         ansatz, _ = antisymmetric_ansatz(mult.dim)
     elif args.kind == "generic-poisson":
         families = generic_poisson_structures(mult)
-        from .classify import antisymmetric_ansatz
-
         ansatz, _ = antisymmetric_ansatz(mult.dim)
     else:
-        stage_sym = postlie_stage1(mult)
-        stage_fixed = postlie_stage1(mult, fixed_u=Element.basis(mult.dim, 0))
         families = postlie_structures(mult, max_depth=args.max_depth)
-        ansatz = stage_sym.ansatz
+        ansatz, _ = symmetric_ansatz(mult.dim)
         if not args.json:
             print("stage 1 (all reference vectors):")
-            print("  " + _render_stage(stage_sym, labels))
+            print("  " + _render_stage(postlie_stage1(mult), labels))
             print("stage 1 (fixed reference vector e1):")
-            print("  " + _render_stage(stage_fixed, labels))
+            fixed = postlie_stage1(mult, fixed_u=Element.basis(mult.dim, 0))
+            print("  " + _render_stage(fixed, labels))
     if args.json:
         print(json.dumps([_family_payload(f) for f in families], indent=2))
         return 0
@@ -267,8 +269,6 @@ def _cmd_catalog(args) -> int:
     if args.action == "export":
         if not args.name or args.name not in entries:
             raise _CliFailure(PARSE_FAILURE, f"no catalog entry named {args.name!r}")
-        from .files import render_algebra
-
         print(render_algebra(entries[args.name].algebra), end="")
         return 0
     if args.action == "list":

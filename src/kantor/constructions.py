@@ -16,7 +16,7 @@ from .algebra import Element, Multiplication, multiply
 from .errors import DimMismatch, NotCommutativeAssociative, NotDerivation
 from .identities import builtin, check_identity
 from .linsolve import mat_vec_poly
-from .product import kantor_product
+from .product import kantor_product, symbolic_vector
 
 
 def sum_product(dot: Multiplication, bracket: Multiplication) -> Multiplication:
@@ -76,7 +76,5 @@ def kantor_pair(
     if dot.dim != circ.dim:
         raise DimMismatch("tensor dimensions differ")
     if u is None:
-        from .product import symbolic_vector
-
         u = symbolic_vector(dot.dim, dot.names() | circ.names())
     return kantor_product(circ, dot, u), kantor_product(dot, circ, u)

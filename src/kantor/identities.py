@@ -419,11 +419,9 @@ def check_identity(
         for coordinate in result.coords:
             for _, coeff in coordinate.split_by(generic).items():
                 reduced = _monomial_ideal_reduce(coeff, modulo)
-                if not reduced.is_zero():
-                    key = str(reduced)
-                    if key not in seen:
-                        seen.add(key)
-                        obstructions.append(reduced)
+                if not reduced.is_zero() and reduced not in seen:
+                    seen.add(reduced)
+                    obstructions.append(reduced)
     return Verdict(not obstructions, tuple(obstructions))
 
 

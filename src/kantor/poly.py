@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from .errors import ParseError
 
@@ -116,36 +116,36 @@ class Poly:
                 out.add(name)
         return out
 
-    def degree_in(self, names: Iterable[str]) -> int:
-        """Maximal total degree of the given indeterminates over all terms."""
-        names = set(names)
-        best = 0
-        for mono in self.terms:
-            d = sum(e for n, e in mono if n in names)
-            if d > best:
-                best = d
-        return best
+    def coeffs_in(self, name: str) -> Dict[int, "Poly"]:
+        """Coefficients of the powers of ``name``: p = sum_k coeffs[k] * name^k.
+
+        Only powers that occur are keys, so the zero polynomial gives ``{}``.
+        """
+        groups: Dict[int, Dict[Monomial, Fraction]] = {}
+        for mono, coeff in self.terms.items():
+            e = 0
+            rest = mono
+            for pos, (n, exp) in enumerate(mono):
+                if n == name:
+                    e = exp
+                    rest = mono[:pos] + mono[pos + 1:]
+                    break
+            # Distinct monomials with the same power of ``name`` keep distinct
+            # rests, so no coefficient is summed and none can vanish here.
+            groups.setdefault(e, {})[rest] = coeff
+        return {e: _from_normalized(bucket) for e, bucket in groups.items()}
 
     def coefficient(self, name: str) -> "Poly":
         """The coefficient of ``name`` in a polynomial of degree <= 1 in it."""
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            rest = []
-            seen = 0
-            for n, e in mono:
-                if n == name:
-                    seen = e
-                else:
-                    rest.append((n, e))
-            if seen == 1:
-                out[tuple(rest)] = out.get(tuple(rest), Fraction(0)) + coeff
-            elif seen > 1:
-                raise ValueError(f"degree {seen} in {name}: {self}")
-        return Poly(out)
+        parts = self.coeffs_in(name)
+        degree = max(parts, default=0)
+        if degree > 1:
+            raise ValueError(f"degree {degree} in {name}: {self}")
+        return parts.get(1, _ZERO)
 
     def drop(self, name: str) -> "Poly":
         """All terms not containing ``name``."""
-        return Poly({m: c for m, c in self.terms.items() if all(n != name for n, _ in m)})
+        return self.coeffs_in(name).get(0, _ZERO)
 
     def split_by(self, names) -> Dict[Monomial, "Poly"]:
         """Group terms by their sub-monomial in ``names``.
@@ -238,7 +238,13 @@ class Poly:
             return NotImplemented
         return self.terms == other.terms
 
-    __hash__ = None
+    def __hash__(self) -> int:
+        # Agrees with __eq__, which equates a constant polynomial with its value.
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1 and () in self.terms:
+            return hash(self.terms[()])
+        return hash(frozenset(self.terms.items()))
 
     # -- substitution ------------------------------------------------------
 
@@ -284,6 +290,13 @@ class Poly:
 
 
 _ZERO = Poly()
+
+
+def _from_normalized(terms: Dict[Monomial, Fraction]) -> Poly:
+    """A Poly over a term map whose coefficients are already nonzero Fractions."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "terms", terms)
+    return p
 
 
 def _coerce(value):

@@ -67,22 +67,10 @@ def kantor_square(a: Multiplication, u: Element | None = None) -> Multiplication
 
 
 def right_kantor_product(a: Multiplication, b: Multiplication, u: Element | None = None) -> Multiplication:
-    """The mirror (right) Kantor product with respect to u."""
-    if a.dim != b.dim:
-        raise DimMismatch("multiplications act on different dimensions")
-    u = _resolve_u(a, b, u)
-    n = a.dim
-    basis = [Element.basis(n, i) for i in range(n)]
-    ua = [multiply(a, e, u) for e in basis]
-    tensor = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            value = (
-                multiply(a, multiply(b, basis[i], basis[j]), u)
-                - multiply(b, ua[i], basis[j])
-                - multiply(b, basis[i], ua[j])
-            )
-            plane.append(list(value.coords))
-        tensor.append(plane)
-    return Multiplication(tensor)
+    """The mirror (right) Kantor product with respect to u.
+
+    Reversing every product turns the right form into the left one, so
+    [[a, b]]_r = [[a^op, b^op]]^op; ``opposite`` keeps the entries, and
+    with them the dimension check and the symbolic-u naming.
+    """
+    return kantor_product(a.opposite(), b.opposite(), u).opposite()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
-from .algebra import Element, Multiplication
+from .algebra import Element, Multiplication, render_combination
 from .errors import DimMismatch, IndexOutOfRange
 from .poly import Poly
 from .product import kantor_product
@@ -86,26 +86,10 @@ class UnElement:
         return not self.coeffs
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for idx in sorted(self.coeffs, key=_index_order):
-            i, j, k = idx
-            label = f"a({i},{j})^{k}"
-            coeff = self.coeffs[idx]
-            if coeff == 1:
-                body = label
-            elif coeff == -1:
-                body = f"-{label}"
-            elif coeff.is_constant() or len(coeff.terms) == 1:
-                body = f"{coeff}*{label}"
-            else:
-                body = f"({coeff})*{label}"
-            pieces.append(body)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        return render_combination(
+            (self.coeffs[(i, j, k)], f"a({i},{j})^{k}")
+            for i, j, k in sorted(self.coeffs, key=_index_order)
+        )
 
     def __repr__(self) -> str:
         return f"UnElement({self})"

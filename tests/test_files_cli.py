@@ -158,6 +158,20 @@ def test_cli_un_table_golden():
     assert out == (GOLDEN / "un2.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (("postlie", "catalog:heis3", "--json"), "classify_postlie_heis3.json"),
+        (("postlie", "catalog:heis3"), "classify_postlie_heis3.txt"),
+        (("poisson", "catalog:qt4", "--json"), "classify_poisson_qt4.json"),
+    ],
+)
+def test_cli_classify_golden(args, golden):
+    code, out, _ = run_cli("classify", *args)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_cli_un_table_determinism():
     _, first, _ = run_cli("un-table", "--dim", "2")
     _, second, _ = run_cli("un-table", "--dim", "2")

@@ -29,6 +29,9 @@ def test_zero_and_constants():
     assert Poly.const(0) == 0
     assert Poly.const(F(3, 2)).constant_value() == F(3, 2)
     assert str(Poly.const(-2)) == "-2"
+    assert hash(Poly.const(3)) == hash(3) == hash(F(3))
+    assert hash(Poly.zero()) == hash(0)
+    assert {Poly.const(3), 3, F(3)} == {3}
 
 
 def test_basic_arithmetic():
@@ -104,3 +107,14 @@ def test_substitution_is_a_ring_homomorphism(p, q, s1, s2):
 @given(polys())
 def test_string_round_trip(p):
     assert parse_poly(str(p)) == p
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys())
+def test_hash_agrees_with_equality(p, q):
+    for same in (Poly(dict(reversed(list(p.terms.items())))), (p + q) - q, p * 1):
+        assert same == p and hash(same) == hash(p)
+    if p == q:
+        assert hash(p) == hash(q)
+    if p.is_constant():
+        assert hash(p) == hash(p.constant_value())

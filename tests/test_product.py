@@ -148,8 +148,35 @@ def test_commutative_left_equals_right_product():
         assert right_kantor_product(a, a) == kantor_square(a)
 
 
+def test_right_product_matches_its_definition():
+    # [[a, b]]_r(x, y) = a(b(x, y), u) - b(a(x, u), y) - b(x, a(y, u)), with a != b
+    rng = random.Random(41)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            a, b = rand_mult(rng, dim), rand_mult(rng, dim)
+            for u in (Element.symbolic("u", dim), rand_vector(rng, dim)):
+                basis = [Element.basis(dim, i) for i in range(dim)]
+                expected = [
+                    [
+                        list((
+                            multiply(a, multiply(b, x, y), u)
+                            - multiply(b, multiply(a, x, u), y)
+                            - multiply(b, x, multiply(a, y, u))
+                        ).coords)
+                        for y in basis
+                    ]
+                    for x in basis
+                ]
+                assert right_kantor_product(a, b, u) == Multiplication(expected)
+            assert right_kantor_product(a, b) == right_kantor_product(a, b, Element.symbolic("u", dim))
+
+
 def test_dim_mismatch():
     with pytest.raises(DimMismatch):
         kantor_product(Multiplication.zero(2), Multiplication.zero(3))
     with pytest.raises(DimMismatch):
         kantor_square(Multiplication.zero(2), Element.zero(3))
+    with pytest.raises(DimMismatch):
+        right_kantor_product(Multiplication.zero(2), Multiplication.zero(3))
+    with pytest.raises(DimMismatch):
+        right_kantor_product(Multiplication.zero(2), Multiplication.zero(2), Element.zero(3))
