@@ -51,9 +51,11 @@ class _CliFailure(Exception):
 
 
 def _load_ref(ref: str):
-    """Resolve ``catalog:NAME[:pair]`` or a file path to (mult, algebra, pair).
+    """Resolve ``catalog:NAME[:pair]`` or a file path to (mult, algebra, slots).
 
-    ``pair`` is the catalog entry's companion product, or None.
+    ``mult`` is the referenced product (the companion for ``:pair``);
+    ``slots`` is ``[main product, companion]`` of a two-product catalog
+    entry, for two-slot identities, or None.
     """
     if ref.startswith("catalog:"):
         parts = ref.split(":")
@@ -62,13 +64,14 @@ def _load_ref(ref: str):
         if key not in entries:
             raise _CliFailure(PARSE_FAILURE, f"no catalog entry named {key!r}")
         entry = entries[key]
+        slots = None if entry.pair is None else [entry.mult, entry.pair]
         if len(parts) > 2:
             if parts[2] != "pair":
                 raise _CliFailure(PARSE_FAILURE, f"bad catalog reference {ref!r}")
             if entry.pair is None:
                 raise _CliFailure(PRECONDITION_FAILURE, f"{key} has no companion product")
-            return entry.pair, entry.algebra, entry.pair
-        return entry.mult, entry.algebra, entry.pair
+            return entry.pair, entry.algebra, slots
+        return entry.mult, entry.algebra, slots
     path = Path(ref)
     if not path.exists():
         raise _CliFailure(PARSE_FAILURE, f"no such file: {ref}")
@@ -157,7 +160,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    mult, algebra, pair = _load_ref(args.source)
+    mult, algebra, slots = _load_ref(args.source)
     names = [n.strip() for n in args.id.split(",") if n.strip()]
     if not names:
         raise _CliFailure(PARSE_FAILURE, "no identity names given")
@@ -174,12 +177,12 @@ def _cmd_check(args) -> int:
         if nslots == 1:
             mults = [mult]
         else:
-            if pair is None:
+            if slots is None:
                 raise _CliFailure(
                     PRECONDITION_FAILURE,
                     f"identity {name!r} needs a two-product catalog entry",
                 )
-            mults = [mult, pair]
+            mults = slots
         verdict = check_identity(mults, bundle, modulo=algebra.constraints)
         status = "holds" if verdict.holds else "FAILS"
         print(f"{name}: {status}")

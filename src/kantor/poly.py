@@ -1,16 +1,21 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A polynomial is stored as a map from monomials to nonzero ``Fraction``
-coefficients.  A monomial is a tuple of ``(name, exponent)`` pairs, sorted
-by name, with strictly positive exponents; the empty tuple is the constant
-monomial.  Indeterminate names are interned strings, so name comparisons
-inside hot loops are pointer comparisons.
+A polynomial is stored as a map from monomials to nonzero coefficients.  A
+coefficient is an ``int`` when it is integral and a ``Fraction`` only when
+it is not, so integer arithmetic, which is most of it, never builds a
+``Fraction``.  ``constant_value()`` always returns a ``Fraction``, so that
+callers dividing constants stay exact.  A monomial is a tuple of
+``(name, exponent)`` pairs, sorted by name, with strictly positive
+exponents; the empty tuple is the constant monomial.  Indeterminate names
+are interned strings, so name comparisons inside hot loops are pointer
+comparisons.
 
 The zero polynomial is the empty term map.  Every operation normalizes its
-result (zero coefficients are never stored), which makes polynomial
-equality plain structural equality: ``p - q == 0`` iff the two term maps
-agree.  That canonical-form property is what the identity checker and the
-classifiers rely on, so no floating point appears anywhere.
+result (zero coefficients are never stored, integral ones are ``int``),
+which makes polynomial equality plain structural equality: ``p - q == 0``
+iff the two term maps agree.  That canonical-form property is what the
+identity checker and the classifiers rely on, so no floating point appears
+anywhere.
 
 Printing uses a graded lexicographic term order (total degree first, then
 the name/exponent sequence), giving deterministic strings such as
@@ -32,11 +37,12 @@ Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
 
 
-def _as_fraction(value) -> Fraction:
+def _as_coeff(value) -> Scalar:
+    """The canonical coefficient: an ``int`` if integral, else a ``Fraction``."""
     if isinstance(value, Fraction):
-        return value
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -53,10 +59,24 @@ def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
         return b
     if not b:
         return a
-    exps: Dict[str, int] = dict(a)
-    for name, e in b:
-        exps[name] = exps.get(name, 0) + e
-    return tuple(sorted(exps.items()))
+    # Both factors are sorted by name, so one merge pass keeps the product sorted.
+    out = []
+    i = j = 0
+    la, lb = len(a), len(b)
+    while i < la and j < lb:
+        na, ea = a[i]
+        nb, eb = b[j]
+        if na == nb:
+            out.append((na, ea + eb))
+            i += 1
+            j += 1
+        elif na < nb:
+            out.append(a[i])
+            i += 1
+        else:
+            out.append(b[j])
+            j += 1
+    return tuple(out) + a[i:] + b[j:]
 
 
 class Poly:
@@ -64,11 +84,11 @@ class Poly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        normalized: Dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        normalized: Dict[Monomial, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_fraction(coeff)
+                coeff = _as_coeff(coeff)
                 if coeff:
                     normalized[mono] = coeff
         object.__setattr__(self, "terms", normalized)
@@ -84,14 +104,14 @@ class Poly:
 
     @staticmethod
     def const(value: Scalar) -> "Poly":
-        value = _as_fraction(value)
+        value = _as_coeff(value)
         if not value:
             return _ZERO
-        return Poly({(): value})
+        return _from_normalized({(): value})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({((sys.intern(name), 1),): Fraction(1)})
+        return _from_normalized({((sys.intern(name), 1),): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -106,7 +126,7 @@ class Poly:
         if not self.terms:
             return Fraction(0)
         if self.is_constant():
-            return self.terms[()]
+            return Fraction(self.terms[()])
         raise ValueError(f"not a constant polynomial: {self}")
 
     def names(self) -> set:
@@ -121,7 +141,7 @@ class Poly:
 
         Only powers that occur are keys, so the zero polynomial gives ``{}``.
         """
-        groups: Dict[int, Dict[Monomial, Fraction]] = {}
+        groups: Dict[int, Dict[Monomial, Scalar]] = {}
         for mono, coeff in self.terms.items():
             e = 0
             rest = mono
@@ -154,12 +174,12 @@ class Poly:
         by the remaining factors, so that ``p = sum(key * value)``.
         """
         names = set(names)
-        groups: Dict[Monomial, Dict[Monomial, Fraction]] = {}
+        groups: Dict[Monomial, Dict[Monomial, Scalar]] = {}
         for mono, coeff in self.terms.items():
             selected = tuple((n, e) for n, e in mono if n in names)
             rest = tuple((n, e) for n, e in mono if n not in names)
             bucket = groups.setdefault(selected, {})
-            bucket[rest] = bucket.get(rest, Fraction(0)) + coeff
+            bucket[rest] = bucket.get(rest, 0) + coeff
         return {sel: Poly(bucket) for sel, bucket in groups.items() if any(bucket.values())}
 
     # -- arithmetic --------------------------------------------------------
@@ -174,13 +194,23 @@ class Poly:
             return self
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Poly(out)
+            prev = out.get(mono)
+            if prev is None:
+                out[mono] = coeff
+                continue
+            coeff = prev + coeff
+            if type(coeff) is not int and coeff.denominator == 1:
+                coeff = coeff.numerator
+            if coeff:
+                out[mono] = coeff
+            else:
+                del out[mono]
+        return _from_normalized(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _from_normalized({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -200,12 +230,17 @@ class Poly:
             return NotImplemented
         if not self.terms or not other.terms:
             return _ZERO
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Scalar] = {}
+        get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = _mono_mul(m1, m2)
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
-        return Poly(out)
+                prev = get(mono)
+                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        return _from_normalized({
+            mono: coeff if type(coeff) is int or coeff.denominator != 1 else coeff.numerator
+            for mono, coeff in out.items() if coeff
+        })
 
     __rmul__ = __mul__
 
@@ -214,22 +249,21 @@ class Poly:
             if not other.is_constant():
                 raise ZeroDivisionError("division only by nonzero constants")
             other = other.constant_value()
-        other = _as_fraction(other)
+        other = _as_coeff(other)
         if not other:
             raise ZeroDivisionError("division by zero")
-        return Poly({m: c / other for m, c in self.terms.items()})
+        return Poly({m: Fraction(c, other) for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.const(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
+        if not exponent:
+            return Poly.const(1)
+        result = self
+        for bit in bin(exponent)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
         return result
 
     def __eq__(self, other) -> bool:
@@ -260,7 +294,7 @@ class Poly:
                 if name in resolved:
                     factor = factor * resolved[name] ** e
                 else:
-                    factor = factor * Poly({((name, e),): Fraction(1)})
+                    factor = factor * _from_normalized({((name, e),): 1})
             total = total + factor
         return total
 
@@ -292,8 +326,12 @@ class Poly:
 _ZERO = Poly()
 
 
-def _from_normalized(terms: Dict[Monomial, Fraction]) -> Poly:
-    """A Poly over a term map whose coefficients are already nonzero Fractions."""
+def _from_normalized(terms: Dict[Monomial, Scalar]) -> Poly:
+    """A Poly over a term map already in canonical form.
+
+    Every coefficient is nonzero, an ``int`` if integral and a ``Fraction``
+    otherwise.
+    """
     p = object.__new__(Poly)
     object.__setattr__(p, "terms", terms)
     return p

@@ -7,6 +7,7 @@ import pytest
 from kantor.algebra import Element, Multiplication, multiply
 from kantor.catalog import load_catalog
 from kantor.classify import (
+    _univariate_roots,
     antisymmetric_ansatz,
     case_split_solve,
     generic_poisson_structures,
@@ -44,6 +45,27 @@ def test_case_split_factored_univariate():
     fams = case_split_solve([g * g - g], ["g"])
     values = sorted(f.assignment["g"][0].constant_value() for f in fams)
     assert values == [0, 1]
+
+
+def test_evaluate_at_integer_points_gives_fractions():
+    g1, g2, g3, g4 = (Poly.var(f"g{i}") for i in range(1, 5))
+    fams = case_split_solve([g1 * g2 - 1, 2 * g3 - 4 * g2, g4 - 2 * g3], ["g1", "g2", "g3", "g4"])
+    checked = 0
+    for fam in fams:
+        for value in range(-3, 4):
+            values = fam.evaluate({name: value for name in fam.free})
+            if values is None:
+                continue
+            assert all(type(v) is F for v in values.values()), values
+            checked += 1
+    assert checked == 6
+
+
+def test_univariate_roots_are_fractions():
+    for text, expected in (("2*x - 4", [2]), ("x^2 - 1", [-1, 1])):
+        roots = _univariate_roots(parse_poly(text), "x")
+        assert roots == expected
+        assert all(type(r) is F for r in roots)
 
 
 def test_case_split_empty_system():

@@ -129,6 +129,19 @@ def test_cli_check_modulo_constraints():
     assert code == 0
 
 
+def test_cli_check_pair_reference():
+    # Two-slot identities always pair the entry's main product with its companion.
+    main_result = run_cli("check", "catalog:C8", "--id", "poisson")
+    pair_result = run_cli("check", "catalog:C8:pair", "--id", "poisson")
+    assert pair_result == main_result
+    assert main_result[0] == 4 and "obstruction: -a" in main_result[1]
+    # One-slot identities on ``:pair`` check the companion itself.
+    code, out, _ = run_cli("check", "catalog:C8:pair", "--id", "commutative")
+    assert code == 4
+    code, out, _ = run_cli("check", "catalog:C8", "--id", "commutative")
+    assert code == 0
+
+
 def test_cli_classify_json():
     code, out, _ = run_cli("classify", "postlie", "catalog:S2", "--json")
     assert code == 0

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantor.errors import ParseError
-from kantor.poly import Poly, parse_poly, poly_substitute
+from kantor.poly import Poly, _mono_mul, parse_poly, poly_substitute
 
 NAMES = ["u1", "u2", "alpha", "b"]
 
@@ -32,6 +32,12 @@ def test_zero_and_constants():
     assert hash(Poly.const(3)) == hash(3) == hash(F(3))
     assert hash(Poly.zero()) == hash(0)
     assert {Poly.const(3), 3, F(3)} == {3}
+    for p in (Poly.zero(), Poly.const(3), Poly.const(F(6, 2)), Poly.const(F(1, 3))):
+        assert type(p.constant_value()) is F
+    assert hash(Poly({(): F(-6, 3)})) == hash(Poly.const(-2)) == hash(-2)
+    mono = (("u1", 1),)
+    assert Poly({mono: F(4, 2)}) == Poly({mono: 2})
+    assert hash(Poly({mono: F(4, 2)})) == hash(Poly({mono: 2}))
 
 
 def test_basic_arithmetic():
@@ -118,3 +124,46 @@ def test_hash_agrees_with_equality(p, q):
         assert hash(p) == hash(q)
     if p.is_constant():
         assert hash(p) == hash(p.constant_value())
+
+
+def _assert_canonical(p):
+    for coeff in p.terms.values():
+        assert coeff != 0
+        assert type(coeff) is int or (type(coeff) is F and coeff.denominator != 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), fractions())
+def test_coefficients_are_canonical(p, q, c):
+    results = [p, q, p + q, p - q, -p, p * q, p * c, c - p, p ** 2, p.substitute({"u1": q})]
+    if c:
+        results.append(p / c)
+    results.extend(p.split_by({"u1", "alpha"}).values())
+    results.extend(p.coeffs_in("u2").values())
+    results.append(parse_poly(str(p)))
+    for r in results:
+        _assert_canonical(r)
+        if r.is_constant():
+            assert type(r.constant_value()) is F
+
+
+def _mono_mul_reference(a, b):
+    exps = dict(a)
+    for name, e in b:
+        exps[name] = exps.get(name, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(monomials(), monomials())
+def test_mono_mul_matches_dict_and_sort(a, b):
+    assert _mono_mul(a, b) == _mono_mul_reference(a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), st.integers(0, 6))
+def test_power_is_repeated_multiplication(p, e):
+    expected = Poly.const(1)
+    for _ in range(e):
+        expected = expected * p
+    assert p ** e == expected
