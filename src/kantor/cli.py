@@ -35,7 +35,7 @@ from .errors import (
 from .files import parse_algebra, render_algebra
 from .identities import builtin, builtin_names, check_identity
 from .poly import Poly
-from .product import kantor_product, kantor_square, right_kantor_product
+from .product import kantor_product, kantor_square, right_kantor_product, symbolic_vector
 from .un import render_un_table, un_table
 
 PARSE_FAILURE = 2
@@ -79,8 +79,11 @@ def _load_ref(ref: str):
     return algebra.mult, algebra, None
 
 
+_SYMBOLIC_U = ("sym", "symbolic")
+
+
 def _parse_u(spec: str | None, dim: int) -> Element | None:
-    if spec is None or spec in ("sym", "symbolic"):
+    if spec is None or spec in _SYMBOLIC_U:
         return None
     text = spec.strip()
     if text.startswith("u="):
@@ -230,7 +233,11 @@ def _render_stage(stage, labels) -> str:
 def _cmd_un_table(args) -> int:
     if args.dim < 1:
         raise _CliFailure(PRECONDITION_FAILURE, "dimension must be positive")
-    u = _parse_u(args.u, args.dim)
+    # Without --u the table uses v_1, the classical choice; sym asks for a symbolic u.
+    if args.u in _SYMBOLIC_U:
+        u = symbolic_vector(args.dim)
+    else:
+        u = _parse_u(args.u, args.dim)
     rows = un_table(args.dim, u)
     print(render_un_table(rows))
     return 0

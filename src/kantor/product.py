@@ -11,6 +11,16 @@ the mirror form
     [[A, B]]_r(x, y) = A(B(x, y), u) - B(A(x, u), y) - B(x, A(y, u)),
 
 which agrees with the left square exactly on weakly associative algebras.
+
+With L the matrix of x -> A(u, x), so that A(u, e_i) = sum_k L_ik e_k, the
+left product is the action of L on the tensor of B:
+
+    [[A, B]]_ij^k = sum_m B_ij^m L_mk - sum_m L_im B_mj^k - sum_m L_jm B_im^k.
+
+``kantor_product`` builds L with n calls of ``multiply`` and then walks the
+nonzero entries B_ij^m once, so each nonzero entry of B costs a few
+polynomial products.
+
 When no u is supplied, a symbolic vector with fresh coordinates (u1, ...,
 un by default) is used, so the resulting tensor stays linear in the
 u-coordinates.
@@ -20,6 +30,7 @@ from __future__ import annotations
 
 from .algebra import Element, Multiplication, multiply
 from .errors import DimMismatch
+from .poly import Poly
 
 
 def symbolic_vector(dim: int, avoid=()) -> Element:
@@ -45,20 +56,25 @@ def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = Non
         raise DimMismatch("multiplications act on different dimensions")
     u = _resolve_u(a, b, u)
     n = a.dim
-    basis = [Element.basis(n, i) for i in range(n)]
-    au = [multiply(a, u, e) for e in basis]
-    tensor = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            value = (
-                multiply(a, u, multiply(b, basis[i], basis[j]))
-                - multiply(b, au[i], basis[j])
-                - multiply(b, basis[i], au[j])
-            )
-            plane.append(list(value.coords))
-        tensor.append(plane)
-    return Multiplication(tensor)
+    lu = [multiply(a, u, Element.basis(n, i)).coords for i in range(n)]
+    # rows[m]: the nonzero (k, L_mk); cols[i]: the nonzero (i', L_i'i).
+    rows = [[(k, c) for k, c in enumerate(lu[m]) if not c.is_zero()] for m in range(n)]
+    cols = [[(r, lu[r][i]) for r in range(n) if not lu[r][i].is_zero()] for i in range(n)]
+    out = [[[Poly.zero()] * n for _ in range(n)] for _ in range(n)]
+    for i, plane in enumerate(b.c):
+        for j, row in enumerate(plane):
+            for m, entry in enumerate(row):
+                if entry.is_zero():
+                    continue
+                target = out[i][j]
+                for k, c in rows[m]:
+                    target[k] += entry * c
+                neg = -entry
+                for r, c in cols[i]:
+                    out[r][j][m] += neg * c
+                for r, c in cols[j]:
+                    out[i][r][m] += neg * c
+    return Multiplication(out)
 
 
 def kantor_square(a: Multiplication, u: Element | None = None) -> Multiplication:

@@ -5,7 +5,9 @@ a(i,j)^k(v_t, v_l) = delta_it delta_jl v_k.  The bracket of two elements
 is their Kantor product with respect to a reference vector, decomposed
 back into elementary multiplications; the reference vector defaults to
 the first basis vector v_1, which is the choice that reproduces the
-classical U(2) table.
+classical U(2) table.  ``un_table`` builds each elementary tensor once and
+brackets the prebuilt tensors directly, so its n^6 brackets share n^3
+tensor constructions.
 """
 
 from __future__ import annotations
@@ -95,14 +97,20 @@ class UnElement:
         return f"UnElement({self})"
 
 
+def _reference_vector(n: int, u: Element | None) -> Element:
+    """The reference vector of U(n): u itself, or v_1 when it is omitted."""
+    if u is None:
+        return Element.basis(n, 0)
+    if u.dim != n:
+        raise DimMismatch("reference vector has the wrong dimension")
+    return u
+
+
 def un_bracket(x: UnElement, y: UnElement, u: Element | None = None) -> UnElement:
     """Kantor bracket of two U(n) elements; u defaults to v_1."""
     if x.n != y.n:
         raise DimMismatch("U(n) elements of different n")
-    if u is None:
-        u = Element.basis(x.n, 0)
-    if u.dim != x.n:
-        raise DimMismatch("reference vector has the wrong dimension")
+    u = _reference_vector(x.n, u)
     product = kantor_product(x.to_mult(), y.to_mult(), u)
     return UnElement.from_mult(product)
 
@@ -117,14 +125,14 @@ def basis_indices(n: int) -> List[Index]:
 
 def un_table(n: int, u: Element | None = None) -> List[Tuple[Index, Index, UnElement]]:
     """All n^6 brackets of elementary multiplications, in deterministic order."""
+    u = _reference_vector(n, u)
     indices = basis_indices(n)
-    rows = []
-    for first in indices:
-        xf = UnElement.basis(*first, n)
-        for second in indices:
-            ys = UnElement.basis(*second, n)
-            rows.append((first, second, un_bracket(xf, ys, u)))
-    return rows
+    tensors = [elementary(*idx, n) for idx in indices]
+    return [
+        (first, second, UnElement.from_mult(kantor_product(x, y, u)))
+        for first, x in zip(indices, tensors)
+        for second, y in zip(indices, tensors)
+    ]
 
 
 def render_un_table(rows: Sequence[Tuple[Index, Index, UnElement]]) -> str:

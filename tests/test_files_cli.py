@@ -9,6 +9,8 @@ from kantor.catalog import load_catalog
 from kantor.cli import main
 from kantor.errors import IndexOutOfRange, ParseError, UndeclaredParam
 from kantor.files import parse_algebra, render_algebra
+from kantor.product import symbolic_vector
+from kantor.un import render_un_table, un_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -183,6 +185,15 @@ def test_cli_classify_golden(args, golden):
     code, out, _ = run_cli("classify", *args)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_cli_un_table_symbolic_u():
+    code, out, _ = run_cli("un-table", "--dim", "2", "--u", "sym")
+    assert code == 0
+    assert out == render_un_table(un_table(2, symbolic_vector(2))) + "\n"
+    assert "u1" in out and "u2" in out
+    assert run_cli("un-table", "--dim", "2", "--u", "symbolic") == (0, out, "")
+    assert run_cli("un-table", "--dim", "2", "--u", "e1") == (0, (GOLDEN / "un2.txt").read_text(), "")
 
 
 def test_cli_un_table_determinism():

@@ -148,6 +148,30 @@ def test_commutative_left_equals_right_product():
         assert right_kantor_product(a, a) == kantor_square(a)
 
 
+def test_left_product_matches_its_definition():
+    # [[a, b]](x, y) = a(u, b(x, y)) - b(a(u, x), y) - b(x, a(u, y)), with a != b
+    rng = random.Random(43)
+    for dim in (1, 2, 3, 4):
+        for _ in range(3):
+            a, b = rand_mult(rng, dim), rand_mult(rng, dim)
+            while b == a:
+                b = rand_mult(rng, dim)
+            for u in (Element.symbolic("u", dim), rand_vector(rng, dim), Element.zero(dim)):
+                basis = [Element.basis(dim, i) for i in range(dim)]
+                expected = [
+                    [
+                        list((
+                            multiply(a, u, multiply(b, x, y))
+                            - multiply(b, multiply(a, u, x), y)
+                            - multiply(b, x, multiply(a, u, y))
+                        ).coords)
+                        for y in basis
+                    ]
+                    for x in basis
+                ]
+                assert kantor_product(a, b, u) == Multiplication(expected)
+
+
 def test_right_product_matches_its_definition():
     # [[a, b]]_r(x, y) = a(b(x, y), u) - b(a(x, u), y) - b(x, a(y, u)), with a != b
     rng = random.Random(41)

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from kantor.algebra import Element, multiply
-from kantor.errors import IndexOutOfRange
+from kantor.errors import DimMismatch, IndexOutOfRange
 from kantor.poly import Poly
 from kantor.product import kantor_product
 from kantor.un import UnElement, basis_indices, elementary, render_un_table, un_bracket, un_table
@@ -74,3 +74,56 @@ def test_table_shape_and_rendering():
     text = render_un_table(rows)
     assert "[a(1,1)^1, a(1,1)^1] = -a(1,1)^1" in text
     assert "[a(1,2)^1, a(1,1)^1] = -a(1,2)^1 - a(2,1)^1" in text
+
+
+def contraction(a, b, u):
+    """[[A,B]]_ij^k = sum_p u_p (sum_m A_pm^k B_ij^m - A_pi^m B_mj^k - A_pj^m B_im^k).
+
+    ``a`` and ``b`` map 1-based (i, j, k) to Fractions; so does the result.
+    """
+    out = {}
+    for (p, q, r), x in a.items():
+        for (i, j, m), y in b.items():
+            terms = []
+            if q == m:
+                terms.append(((i, j, r), x * y))
+            if r == i:
+                terms.append(((q, j, m), -x * y))
+            if r == j:
+                terms.append(((i, q, m), -x * y))
+            for key, value in terms:
+                out[key] = out.get(key, F(0)) + u[p - 1] * value
+    return {key: value for key, value in out.items() if value}
+
+
+def test_un_table_matches_a_plain_contraction():
+    rng = random.Random(5)
+    n = 3
+    coords = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+    u = Element([Poly.const(c) for c in coords])
+    rows = un_table(n, u)
+    assert [(first, second) for first, second, _ in rows] == [
+        (first, second) for first in basis_indices(n) for second in basis_indices(n)
+    ]
+    for first, second, value in rows:
+        got = {idx: c.constant_value() for idx, c in value.coeffs.items()}
+        assert got == contraction({first: F(1)}, {second: F(1)}, coords), (first, second)
+
+
+def test_un_table_agrees_with_un_bracket():
+    rng = random.Random(7)
+    n = 2
+    u = Element([Poly.const(F(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(n)])
+    for first, second, value in un_table(n, u):
+        assert value == un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n), u)
+    assert un_table(n) == [
+        (first, second, un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n)))
+        for first in basis_indices(n) for second in basis_indices(n)
+    ]
+
+
+def test_un_table_rejects_a_reference_vector_of_the_wrong_dimension():
+    with pytest.raises(DimMismatch):
+        un_table(2, Element.zero(3))
+    with pytest.raises(DimMismatch):
+        un_bracket(UnElement.basis(1, 1, 1, 2), UnElement.basis(1, 1, 1, 2), Element.zero(3))
