@@ -3,8 +3,10 @@
 A ``Multiplication`` is the rank-3 tensor ``c[i][j][k]`` holding the
 coefficient of ``e_k`` in ``e_i * e_j``; entries are polynomials, so one
 representation covers rational tables, parameterized families, and the
-symbolic output of the Kantor constructions.  ``Element`` is a coordinate
-vector of polynomials over the same basis.
+symbolic output of the Kantor constructions.  The tensor is sparse: only
+its nonzero entries are stored, keyed by 0-based ``(i, j, k)`` in
+increasing index order, and an omitted entry is zero.  ``Element`` is a
+coordinate vector of polynomials over the same basis.
 
 Subspace computations (annihilator, nucleus, centralizer, derived series)
 work over the rationals only: callers substitute parameters first.  Doing
@@ -21,6 +23,8 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 from . import linsolve
 from .errors import DimMismatch, SymbolicEntries
 from .poly import Poly, parse_poly
+
+_ZERO = Poly.zero()
 
 
 def _as_poly(value) -> Poly:
@@ -131,107 +135,100 @@ class Element:
 
 
 class Multiplication:
-    """Structure tensor of a bilinear product on an n-dimensional space."""
+    """Structure tensor of a bilinear product on an n-dimensional space.
 
-    __slots__ = ("dim", "c")
+    Only the nonzero entries are stored: ``entries`` maps a 0-based
+    ``(i, j, k)`` to the coefficient of ``e_k`` in ``e_i * e_j``, in
+    increasing index order, so the entries of one product ``e_i * e_j``
+    are adjacent.  Every tensor is built by ``_from_entries``, which keeps
+    that invariant; ``Multiplication(c)`` reads the dense form ``c[i][j][k]``.
+    """
 
-    def __init__(self, c: Sequence[Sequence[Sequence[Poly]]]):
+    __slots__ = ("dim", "entries")
+
+    def __new__(cls, c: Sequence[Sequence[Sequence[object]]]) -> "Multiplication":
         dim = len(c)
-        tensor = tuple(
-            tuple(tuple(_as_poly(entry) for entry in row) for row in plane) for plane in c
-        )
-        for plane in tensor:
-            if len(plane) != dim or any(len(row) != dim for row in plane):
-                raise DimMismatch("structure tensor must be n x n x n")
-        object.__setattr__(self, "c", tensor)
-        object.__setattr__(self, "dim", dim)
+        if any(len(plane) != dim or any(len(row) != dim for row in plane) for plane in c):
+            raise DimMismatch("structure tensor must be n x n x n")
+        return _from_entries(dim, {
+            (i, j, k): _as_poly(value)
+            for i, plane in enumerate(c)
+            for j, row in enumerate(plane)
+            for k, value in enumerate(row)
+        })
 
     def __setattr__(self, name, value):
         raise AttributeError("Multiplication is immutable")
 
     @staticmethod
     def zero(dim: int) -> "Multiplication":
-        z = Poly.zero()
-        return Multiplication([[[z] * dim for _ in range(dim)] for _ in range(dim)])
+        return _from_entries(dim, {})
 
     @staticmethod
     def from_table(dim: int, entries: Dict[Tuple[int, int, int], object]) -> "Multiplication":
         """Build a tensor from a sparse table with 1-based indices."""
-        c = [[[Poly.zero() for _ in range(dim)] for _ in range(dim)] for _ in range(dim)]
+        out: Dict[Tuple[int, int, int], Poly] = {}
         for (i, j, k), value in entries.items():
             if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
                 raise DimMismatch(f"index ({i},{j},{k}) out of range for dim {dim}")
-            c[i - 1][j - 1][k - 1] = c[i - 1][j - 1][k - 1] + _as_poly(value)
-        return Multiplication(c)
+            key = (i - 1, j - 1, k - 1)
+            out[key] = out.get(key, _ZERO) + _as_poly(value)
+        return _from_entries(dim, out)
 
     def entry(self, i: int, j: int, k: int) -> Poly:
-        return self.c[i][j][k]
+        return self.entries.get((i, j, k), _ZERO)
 
     def row(self, i: int, j: int) -> Element:
         """The product ``e_i * e_j`` (0-based indices)."""
-        return Element(self.c[i][j])
+        return Element([self.entry(i, j, k) for k in range(self.dim)])
 
     def table(self) -> Dict[Tuple[int, int, int], Poly]:
         """Nonzero entries, 1-based, sorted by index."""
-        out = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if not self.c[i][j][k].is_zero():
-                        out[(i + 1, j + 1, k + 1)] = self.c[i][j][k]
-        return out
+        return {(i + 1, j + 1, k + 1): value for (i, j, k), value in self.entries.items()}
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Multiplication) and self.dim == other.dim and self.c == other.c
+        return (
+            isinstance(other, Multiplication)
+            and self.dim == other.dim
+            and self.entries == other.entries
+        )
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for p in self.c for row in p for e in row)
+        return not self.entries
 
     def is_rational(self) -> bool:
-        return all(e.is_constant() for p in self.c for row in p for e in row)
+        return all(e.is_constant() for e in self.entries.values())
 
     def names(self) -> set:
         out = set()
-        for plane in self.c:
-            for row in plane:
-                for e in row:
-                    out |= e.names()
+        for e in self.entries.values():
+            out |= e.names()
         return out
 
     def substitute(self, bindings) -> "Multiplication":
-        return Multiplication(
-            [[[e.substitute(bindings) for e in row] for row in plane] for plane in self.c]
+        return _from_entries(
+            self.dim, {key: e.substitute(bindings) for key, e in self.entries.items()}
         )
 
     def __add__(self, other: "Multiplication") -> "Multiplication":
         if self.dim != other.dim:
             raise DimMismatch("tensor dimensions differ")
-        return Multiplication(
-            [
-                [
-                    [a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(p1, p2)
-                ]
-                for p1, p2 in zip(self.c, other.c)
-            ]
-        )
+        out = dict(self.entries)
+        for key, value in other.entries.items():
+            out[key] = out.get(key, _ZERO) + value
+        return _from_entries(self.dim, out)
 
     def __neg__(self) -> "Multiplication":
         return self.scale(-1)
 
     def scale(self, factor) -> "Multiplication":
-        return Multiplication(
-            [[[e * factor for e in row] for row in plane] for plane in self.c]
-        )
+        return _from_entries(self.dim, {key: e * factor for key, e in self.entries.items()})
 
     def opposite(self) -> "Multiplication":
         """The tensor of the reversed product ``x *op y = y * x``."""
-        n = self.dim
-        return Multiplication(
-            [[[self.c[j][i][k] for k in range(n)] for j in range(n)] for i in range(n)]
-        )
+        return _from_entries(self.dim, {(j, i, k): e for (i, j, k), e in self.entries.items()})
 
     def render(self, labels: Sequence[str] | None = None, opsym: str = "*") -> str:
         labels = labels or [f"e{i + 1}" for i in range(self.dim)]
@@ -249,25 +246,34 @@ class Multiplication:
         return f"Multiplication(dim={self.dim})"
 
 
+def _from_entries(dim: int, entries: Dict[Tuple[int, int, int], Poly]) -> Multiplication:
+    """The tensor with these 0-based entries: zeros dropped, keys in index order."""
+    m = object.__new__(Multiplication)
+    object.__setattr__(m, "dim", dim)
+    object.__setattr__(
+        m, "entries", {key: entries[key] for key in sorted(entries) if not entries[key].is_zero()}
+    )
+    return m
+
+
 def multiply(m: Multiplication, x: Element, y: Element) -> Element:
-    """Evaluate the product: ``(x*y)_k = sum_ij x_i y_j c[i][j][k]``."""
+    """Evaluate the product: ``(x*y)_k = sum_ij x_i y_j c[i][j][k]``.
+
+    The entries of one ``e_i * e_j`` are adjacent, so ``x_i * y_j`` is
+    computed once per product that has an entry.
+    """
     if not (m.dim == x.dim == y.dim):
         raise DimMismatch("dimensions of multiplication and elements differ")
-    n = m.dim
-    coords = [Poly.zero()] * n
-    for i in range(n):
-        xi = x.coords[i]
-        if xi.is_zero():
-            continue
-        for j in range(n):
-            yj = y.coords[j]
-            if yj.is_zero():
-                continue
-            factor = xi * yj
-            row = m.c[i][j]
-            for k in range(n):
-                if not row[k].is_zero():
-                    coords[k] = coords[k] + factor * row[k]
+    xs, ys = x.coords, y.coords
+    coords = [_ZERO] * m.dim
+    pair = factor = None
+    for (i, j, k), value in m.entries.items():
+        if (i, j) != pair:
+            pair = (i, j)
+            xi, yj = xs[i], ys[j]
+            factor = None if xi.is_zero() or yj.is_zero() else xi * yj
+        if factor is not None:
+            coords[k] = coords[k] + factor * value
     return Element(coords)
 
 
@@ -344,8 +350,8 @@ def annihilator(m: Multiplication) -> Subspace:
     rows = []
     for j in range(n):
         for k in range(n):
-            rows.append([m.c[i][j][k].constant_value() for i in range(n)])
-            rows.append([m.c[j][i][k].constant_value() for i in range(n)])
+            rows.append([m.entry(i, j, k).constant_value() for i in range(n)])
+            rows.append([m.entry(j, i, k).constant_value() for i in range(n)])
     return Subspace.from_vectors(n, linsolve.nullspace(rows, n))
 
 
@@ -357,10 +363,10 @@ def centralizer(m: Multiplication, x: Element) -> Subspace:
     rows = []
     for k in range(n):
         rows.append(
-            [sum((xc[i] * m.c[i][j][k].constant_value() for i in range(n)), Fraction(0)) for j in range(n)]
+            [sum((xc[i] * m.entry(i, j, k).constant_value() for i in range(n)), Fraction(0)) for j in range(n)]
         )
         rows.append(
-            [sum((xc[i] * m.c[j][i][k].constant_value() for i in range(n)), Fraction(0)) for j in range(n)]
+            [sum((xc[i] * m.entry(j, i, k).constant_value() for i in range(n)), Fraction(0)) for j in range(n)]
         )
     return Subspace.from_vectors(n, linsolve.nullspace(rows, n))
 

@@ -73,13 +73,10 @@ class CatalogEntry:
         return self.algebra.dim
 
 
-def _mult(dim, entries) -> Multiplication:
-    return Multiplication.from_table(dim, entries)
-
-
 def _alg(name, dim, entries, params=(), constraints=()) -> Algebra:
     constraints = tuple(parse_poly(c, allowed=params) for c in constraints)
-    return Algebra(name, _mult(dim, entries), params=tuple(params), constraints=constraints)
+    mult = Multiplication.from_table(dim, entries)
+    return Algebra(name, mult, params=tuple(params), constraints=constraints)
 
 
 def _skew(entries: Dict[Tuple[int, int, int], object]) -> Dict[Tuple[int, int, int], object]:
@@ -106,7 +103,7 @@ def _truncated_poly_mult(dim: int) -> Multiplication:
         for j in range(1, dim + 1):
             if i + j - 1 <= dim:
                 entries[(i, j, i + j - 1)] = 1
-    return _mult(dim, entries)
+    return Multiplication.from_table(dim, entries)
 
 
 def _derivation_matrix(dim: int):
@@ -129,7 +126,7 @@ def _build_entries() -> Dict[str, CatalogEntry]:
         (1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 1): 1, (3, 3, 2): 1,
         (1, 3, 3): "1/2", (2, 3, 3): "1/2",
     }))
-    t02_square = _mult(3, _sym({
+    t02_square = Multiplication.from_table(3, _sym({
         (1, 1, 1): "-u1", (2, 2, 2): "-u2",
         (3, 3, 1): "-u2", (3, 3, 2): "-u1", (3, 3, 3): "-u3",
         (1, 3, 1): "-u3", (1, 3, 3): "-u1/2",
@@ -170,7 +167,8 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     ))
 
     t13 = _alg("T13", 3, _sym({(1, 1, 1): 1, (1, 2, 2): "1/2", (2, 2, 3): 1}))
-    t13_square = _mult(3, _sym({(1, 1, 1): "-u1", (1, 2, 2): "-u1/2", (2, 2, 3): "-u1"}))
+    t13_square = Multiplication.from_table(
+        3, _sym({(1, 1, 1): "-u1", (1, 2, 2): "-u1/2", (2, 2, 3): "-u1"}))
     add(CatalogEntry(
         key="T13",
         algebra=t13,
@@ -190,7 +188,7 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     ))
 
     t14 = _alg("T14", 3, _sym({(1, 1, 1): 1, (1, 2, 2): "1/2"}))
-    t14_square = _mult(3, _sym({(1, 1, 1): "-u1", (1, 2, 2): "-u1/2"}))
+    t14_square = Multiplication.from_table(3, _sym({(1, 1, 1): "-u1", (1, 2, 2): "-u1/2"}))
     add(CatalogEntry(
         key="T14",
         algebra=t14,
@@ -211,7 +209,7 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     a1 = _alg("A1alpha", 3, _skew({
         (1, 2, 3): 1, (1, 3, 1): 1, (1, 3, 3): 1, (2, 3, 2): "alpha",
     }), params=("alpha",))
-    a1_square = _mult(3, _skew({
+    a1_square = Multiplication.from_table(3, _skew({
         (1, 2, 2): "-alpha*u3", (1, 2, 3): "(1+alpha)*u3",
         (1, 3, 2): "alpha*u2", (1, 3, 3): "-(1+alpha)*u2",
         (2, 3, 2): "-alpha*u1", (2, 3, 3): "(1+alpha)*u1",
@@ -225,7 +223,8 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     ))
 
     a2 = _alg("A2", 3, _skew({(1, 2, 1): 1, (2, 3, 2): 1}))
-    a2_square = _mult(3, _skew({(1, 2, 1): "u3", (1, 3, 1): "-u2", (2, 3, 1): "u1"}))
+    a2_square = Multiplication.from_table(
+        3, _skew({(1, 2, 1): "u3", (1, 3, 1): "-u2", (2, 3, 1): "u1"}))
     add(CatalogEntry(
         key="A2",
         algebra=a2,
@@ -236,7 +235,8 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     ))
 
     a3 = _alg("A3", 3, _skew({(1, 2, 3): 1, (1, 3, 1): 1, (2, 3, 2): 1}))
-    a3_square = _mult(3, _skew({(1, 2, 3): "2*u3", (1, 3, 3): "-2*u2", (2, 3, 3): "2*u1"}))
+    a3_square = Multiplication.from_table(
+        3, _skew({(1, 2, 3): "2*u3", (1, 3, 3): "-2*u2", (2, 3, 3): "2*u1"}))
     add(CatalogEntry(
         key="A3",
         algebra=a3,
@@ -247,7 +247,8 @@ def _build_entries() -> Dict[str, CatalogEntry]:
 
     # -- four-dimensional non-Lie binary Lie algebras ------------------------
     a0 = _alg("A0", 4, _skew({(1, 2, 3): 1, (3, 4, 3): 1}))
-    a0_square = _mult(4, _skew({(1, 2, 3): "-u4", (1, 4, 3): "u2", (2, 4, 3): "-u1"}))
+    a0_square = Multiplication.from_table(
+        4, _skew({(1, 2, 3): "-u4", (1, 4, 3): "u2", (2, 4, 3): "-u1"}))
     add(CatalogEntry(
         key="A0",
         algebra=a0,
@@ -259,7 +260,7 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     aalpha = _alg("Aalpha", 4, _skew({
         (1, 2, 3): 1, (1, 4, 1): 1, (2, 4, 2): 1, (3, 4, 3): "alpha",
     }), params=("alpha",))
-    aalpha_square = _mult(4, _skew({
+    aalpha_square = Multiplication.from_table(4, _skew({
         (1, 2, 3): "(2-alpha)*u4", (1, 4, 3): "-(2-alpha)*u2", (2, 4, 3): "(2-alpha)*u1",
     }))
     add(CatalogEntry(
@@ -351,11 +352,11 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     ))
 
     # -- Novikov-Poisson material --------------------------------------------
-    c8_dot = _mult(3, _sym({
+    c8_dot = Multiplication.from_table(3, _sym({
         (1, 3, 1): "a", (1, 3, 2): "b", (2, 2, 2): "c", (2, 3, 2): "a",
         (3, 3, 1): "d", (3, 3, 2): "f", (3, 3, 3): "a",
     }))
-    c8_circ = _mult(3, {(3, 1, 1): 1, (3, 2, 2): 1, (3, 3, 3): 1})
+    c8_circ = Multiplication.from_table(3, {(3, 1, 1): 1, (3, 2, 2): 1, (3, 3, 3): 1})
     c8 = Algebra("C8", c8_dot, params=("a", "b", "c", "d", "f"),
                  constraints=(parse_poly("f*c"), parse_poly("a*b"), parse_poly("b*c")))
     add(CatalogEntry(
@@ -373,7 +374,7 @@ def _build_entries() -> Dict[str, CatalogEntry]:
               "c = 0 subfamily NP3 and at evaluation points",
     ))
 
-    np3_dot = _mult(3, _sym({
+    np3_dot = Multiplication.from_table(3, _sym({
         (1, 3, 1): "a", (2, 3, 2): "a", (3, 3, 1): "d", (3, 3, 2): "f", (3, 3, 3): "a",
     }))
     np3 = Algebra("NP3", np3_dot, params=("a", "d", "f"))
@@ -429,10 +430,10 @@ def _build_entries() -> Dict[str, CatalogEntry]:
         notes="truncated polynomial algebra in one variable (three terms)",
     ))
 
-    lp3_dot = _mult(3, {
+    lp3_dot = Multiplication.from_table(3, {
         (1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1, (1, 3, 3): 1, (3, 1, 3): 1,
     })
-    lp3_bracket = _mult(3, {(2, 3, 3): 1, (3, 2, 3): -1})
+    lp3_bracket = Multiplication.from_table(3, {(2, 3, 3): 1, (3, 2, 3): -1})
     lp3 = Algebra("lp3", lp3_dot)
     add(CatalogEntry(
         key="lp3",

@@ -480,15 +480,11 @@ def _linear_equations(
     for side in sides:
         pair = (ansatz, base) if side == "ansatz_first" else (base, ansatz)
         product = kantor_product(pair[0], pair[1], u)
-        for plane in product.c:
-            for row in plane:
-                for entry in row:
-                    if entry.is_zero():
-                        continue
-                    if u_names:
-                        eqs.extend(entry.split_by(u_names).values())
-                    else:
-                        eqs.append(entry)
+        for entry in product.entries.values():
+            if u_names:
+                eqs.extend(entry.split_by(u_names).values())
+            else:
+                eqs.append(entry)
     return eqs
 
 

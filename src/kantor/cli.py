@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import catalog as catalog_mod
 from . import witt as witt_mod
-from .algebra import Element, Multiplication
+from .algebra import Element
 from .classify import (
     antisymmetric_ansatz,
     generic_poisson_structures,
@@ -126,10 +126,6 @@ def _parse_graded(text: str) -> witt_mod.GradedElement:
     return total
 
 
-def _print_table(mult: Multiplication, labels, opsym: str):
-    print(mult.render(labels, opsym))
-
-
 def _family_payload(family):
     payload = {
         "label": family.label,
@@ -148,7 +144,7 @@ def _cmd_square(args) -> int:
     mult, algebra, _ = _load_ref(args.source)
     u = _parse_u(args.u, mult.dim)
     square = right_kantor_product(mult, mult, u) if args.right else kantor_square(mult, u)
-    _print_table(square, algebra.labels, "*")
+    print(square.render(algebra.labels))
     return 0
 
 
@@ -158,7 +154,7 @@ def _cmd_product(args) -> int:
     if a.dim != b.dim:
         raise _CliFailure(PRECONDITION_FAILURE, "operands have different dimensions")
     u = _parse_u(args.u, a.dim)
-    _print_table(kantor_product(a, b, u), algebra.labels, "*")
+    print(kantor_product(a, b, u).render(algebra.labels))
     return 0
 
 

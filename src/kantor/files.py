@@ -11,11 +11,11 @@ Schema::
       "table": [ {"i": 1, "j": 2, "k": 2, "coeff": "1/2"}, ... ]
     }
 
-Indices are 1-based and omitted entries are zero, matching the customary
-way multiplication tables are printed.  Coefficient strings use the
-canonical polynomial syntax and may only mention declared parameters.
-Rendering is canonical: sorted table entries, canonical coefficient
-strings.
+Indices are 1-based JSON integers and omitted entries are zero, matching
+the customary way multiplication tables are printed.  Coefficient strings
+use the canonical polynomial syntax and may only mention declared
+parameters.  Rendering is canonical: sorted table entries, canonical
+coefficient strings.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from typing import Dict
 from .algebra import Algebra, Multiplication
 from .errors import IndexOutOfRange, ParseError, UndeclaredParam
 from .poly import Poly, parse_poly
+
+
+def _is_int(value) -> bool:
+    """A JSON integer; ``json`` reads ``true`` and ``false`` as bools, which are ints."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -40,7 +45,7 @@ def parse_algebra(text: str) -> Algebra:
     if not isinstance(name, str):
         raise ParseError("must be a string", field="name")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise ParseError("must be a positive integer", field="dim")
 
     basis = data.get("basis", [f"e{i + 1}" for i in range(dim)])
@@ -51,8 +56,11 @@ def parse_algebra(text: str) -> Algebra:
     if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
         raise ParseError("must be a list of strings", field="params")
 
+    texts = data.get("constraints", [])
+    if not isinstance(texts, list) or not all(isinstance(c, str) for c in texts):
+        raise ParseError("must be a list of strings", field="constraints")
     constraints = []
-    for idx, c in enumerate(data.get("constraints", [])):
+    for idx, c in enumerate(texts):
         try:
             constraints.append(parse_poly(c, allowed=params))
         except ParseError as exc:
@@ -66,14 +74,14 @@ def parse_algebra(text: str) -> Algebra:
         where = f"table[{idx}]"
         if not isinstance(row, dict):
             raise ParseError("entry must be an object", field=where)
-        try:
-            i, j, k = int(row["i"]), int(row["j"]), int(row["k"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("entry needs integer i, j, k", field=where) from None
+        index = [row.get(name) for name in ("i", "j", "k")]
+        if not all(_is_int(v) for v in index):
+            raise ParseError("entry needs integer i, j, k", field=where)
+        i, j, k = index
         if not (1 <= i <= dim and 1 <= j <= dim and 1 <= k <= dim):
             raise IndexOutOfRange(f"{where}: ({i},{j},{k}) out of range for dim {dim}")
         coeff = row.get("coeff", "1")
-        if isinstance(coeff, int):
+        if _is_int(coeff):
             coeff = str(coeff)
         if not isinstance(coeff, str):
             raise ParseError("coeff must be a string or integer", field=where)

@@ -101,10 +101,6 @@ def mat_inverse(a: Sequence[Sequence[Fraction]]) -> Matrix:
     return [row[n:] for row in reduced[:n]]
 
 
-def mat_vec(a: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0)) for row in a]
-
-
 def mat_vec_poly(a: Sequence[Sequence[Fraction]], v: Sequence[Poly]) -> List[Poly]:
     """Rational matrix applied to a vector of polynomials."""
     out = []

@@ -28,7 +28,7 @@ u-coordinates.
 
 from __future__ import annotations
 
-from .algebra import Element, Multiplication, multiply
+from .algebra import Element, Multiplication, _from_entries, multiply
 from .errors import DimMismatch
 from .poly import Poly
 
@@ -60,21 +60,21 @@ def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = Non
     # rows[m]: the nonzero (k, L_mk); cols[i]: the nonzero (i', L_i'i).
     rows = [[(k, c) for k, c in enumerate(lu[m]) if not c.is_zero()] for m in range(n)]
     cols = [[(r, lu[r][i]) for r in range(n) if not lu[r][i].is_zero()] for i in range(n)]
-    out = [[[Poly.zero()] * n for _ in range(n)] for _ in range(n)]
-    for i, plane in enumerate(b.c):
-        for j, row in enumerate(plane):
-            for m, entry in enumerate(row):
-                if entry.is_zero():
-                    continue
-                target = out[i][j]
-                for k, c in rows[m]:
-                    target[k] += entry * c
-                neg = -entry
-                for r, c in cols[i]:
-                    out[r][j][m] += neg * c
-                for r, c in cols[j]:
-                    out[i][r][m] += neg * c
-    return Multiplication(out)
+    out = {}
+    get = out.get
+    zero = Poly.zero()
+    for (i, j, m), entry in b.entries.items():
+        for k, c in rows[m]:
+            key = (i, j, k)
+            out[key] = get(key, zero) + entry * c
+        neg = -entry
+        for r, c in cols[i]:
+            key = (r, j, m)
+            out[key] = get(key, zero) + neg * c
+        for r, c in cols[j]:
+            key = (i, r, m)
+            out[key] = get(key, zero) + neg * c
+    return _from_entries(n, out)
 
 
 def kantor_square(a: Multiplication, u: Element | None = None) -> Multiplication:

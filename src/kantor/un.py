@@ -60,10 +60,7 @@ class UnElement:
 
     @staticmethod
     def from_mult(m: Multiplication) -> "UnElement":
-        coeffs = {}
-        for (i, j, k), value in m.table().items():
-            coeffs[(i, j, k)] = value
-        return UnElement(m.dim, coeffs)
+        return UnElement(m.dim, m.table())
 
     def to_mult(self) -> Multiplication:
         return Multiplication.from_table(self.n, dict(self.coeffs))

@@ -22,6 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
 
+from .algebra import render_combination
+from .poly import Poly
+
 Gen = Tuple[str, int]
 
 
@@ -74,22 +77,8 @@ class GradedElement:
         return not self.terms
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        pieces = []
-        for (kind, index), coeff in sorted(self.terms.items()):
-            label = f"{kind}({index})"
-            if coeff == 1:
-                body = label
-            elif coeff == -1:
-                body = f"-{label}"
-            else:
-                body = f"{coeff}*{label}"
-            pieces.append(body)
-        out = pieces[0]
-        for piece in pieces[1:]:
-            out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
-        return out
+        terms = sorted(self.terms.items())
+        return render_combination((Poly.const(c), f"{kind}({i})") for (kind, i), c in terms)
 
     def __repr__(self) -> str:
         return f"GradedElement({self})"

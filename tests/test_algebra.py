@@ -63,6 +63,54 @@ def test_multiply_is_bilinear():
         assert lhs == rhs
 
 
+def several_per_product(rng, dim):
+    """A table in which most products e_i*e_j have several nonzero coordinates."""
+    entries = {}
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            for k in rng.sample(range(1, dim + 1), rng.randint(0, dim)):
+                entries[(i, j, k)] = F(rng.randint(-3, 3), rng.randint(1, 3))
+    return Multiplication.from_table(dim, entries)
+
+
+def test_multiply_matches_the_sum_over_entries():
+    # (x*y)_k = sum_ij x_i y_j entry(i, j, k), for symbolic x and y with some zero coordinates
+    rng = random.Random(11)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        for m in (rand_mult(rng, dim), several_per_product(rng, dim)):
+            x = Element([Poly.var(f"x{i}") if rng.random() < 0.8 else Poly.zero() for i in range(dim)])
+            y = Element([Poly.var(f"y{i}") if rng.random() < 0.8 else Poly.zero() for i in range(dim)])
+            expected = [
+                sum(
+                    (x.coords[i] * y.coords[j] * m.entry(i, j, k) for i in range(dim) for j in range(dim)),
+                    Poly.zero(),
+                )
+                for k in range(dim)
+            ]
+            assert multiply(m, x, y) == Element(expected)
+
+
+def test_sparse_storage_invariants():
+    rng = random.Random(13)
+    for _ in range(40):
+        dim = rng.randint(1, 4)
+        a = rand_mult(rng, dim) + several_per_product(rng, dim).scale(parse_poly("t"))
+        for m in (a, a.opposite(), a.substitute({"t": F(1, 2)}), a.scale(0), a + a):
+            assert all(not value.is_zero() for value in m.entries.values())
+            assert list(m.entries) == sorted(m.entries)
+            assert list(m.table()) == sorted(m.table())
+        negated = a + a.scale(-1)
+        assert negated == Multiplication.zero(dim) and negated.is_zero() and not negated.entries
+        assert a.opposite().opposite() == a
+        for (i, j, k), value in a.entries.items():
+            assert a.opposite().entry(j, i, k) == value
+        # the dense constructor, explicit zeros included, agrees with the sparse table
+        dense = [[[a.entry(i, j, k) for k in range(dim)] for j in range(dim)] for i in range(dim)]
+        assert Multiplication(dense) == Multiplication.from_table(dim, a.table()) == a
+        assert Multiplication(dense).entries == a.entries
+
+
 def test_multiply_dim_mismatch():
     with pytest.raises(DimMismatch):
         multiply(Multiplication.zero(2), Element.zero(3), Element.zero(2))

@@ -63,6 +63,29 @@ def test_parse_errors():
         parse_algebra('{"dim": 2, "table": [{"i": 3, "j": 1, "k": 1, "coeff": "1"}]}')
     with pytest.raises(UndeclaredParam):
         parse_algebra('{"dim": 2, "table": [{"i": 1, "j": 1, "k": 1, "coeff": "q"}]}')
+    # JSON integers only (not bools, floats or strings), and a list of strings
+    bad = {
+        '{"dim": true}': "dim",
+        '{"dim": 2.0}': "dim",
+        '{"dim": 2, "table": [{"i": 1.9, "j": 1, "k": 1}]}': "table[0]",
+        '{"dim": 2, "table": [{"i": 1, "j": true, "k": 1}]}': "table[0]",
+        '{"dim": 2, "table": [{"i": 1, "j": 1, "k": "1"}]}': "table[0]",
+        '{"dim": 2, "table": [{"i": 1, "j": 1, "k": 1, "coeff": true}]}': "table[0]",
+        '{"dim": 2, "constraints": [1]}': "constraints",
+        '{"dim": 2, "params": ["a", "b"], "constraints": "a*b"}': "constraints",
+    }
+    for text, field in bad.items():
+        with pytest.raises(ParseError) as info:
+            parse_algebra(text)
+        assert info.value.field == field, text
+
+
+def test_cli_parse_error_exit_code(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "table": [{"i": 1.9, "j": 1, "k": 1}]}')
+    code, out, err = run_cli("square", str(path))
+    assert code == 2 and out == ""
+    assert "field 'table[0]'" in err
 
 
 def test_parse_with_params_and_constraints():
