@@ -7,15 +7,17 @@ Schema::
       "dim": 3,
       "basis": ["e1", "e2", "e3"],          # optional, defaults to e1..en
       "params": ["alpha"],                   # optional
-      "constraints": ["a*b"],                # optional polynomial strings
+      "constraints": ["a*b"],                # optional monomials in the params
       "table": [ {"i": 1, "j": 2, "k": 2, "coeff": "1/2"}, ... ]
     }
 
 Indices are 1-based JSON integers and omitted entries are zero, matching
 the customary way multiplication tables are printed.  Coefficient strings
 use the canonical polynomial syntax and may only mention declared
-parameters.  Rendering is canonical: sorted table entries, canonical
-coefficient strings.
+parameters.  Each constraint is a single monomial of positive degree in
+the parameters: identities are checked modulo the ideal they generate.
+Rendering is canonical: sorted table entries, canonical coefficient
+strings.
 """
 
 from __future__ import annotations
@@ -61,10 +63,15 @@ def parse_algebra(text: str) -> Algebra:
         raise ParseError("must be a list of strings", field="constraints")
     constraints = []
     for idx, c in enumerate(texts):
+        where = f"constraints[{idx}]"
         try:
-            constraints.append(parse_poly(c, allowed=params))
+            poly = parse_poly(c, allowed=params)
         except ParseError as exc:
-            raise ParseError(str(exc), field=f"constraints[{idx}]") from None
+            raise ParseError(str(exc), field=where) from None
+        # Constraints generate a monomial ideal; a constant would make every check vacuous.
+        if len(poly.terms) != 1 or () in poly.terms:
+            raise ParseError(f"{c!r} is not a single monomial of positive degree", field=where)
+        constraints.append(poly)
 
     table = data.get("table", [])
     if not isinstance(table, list):

@@ -8,6 +8,14 @@ identically iff all its coefficients vanish, so this is a complete
 decision procedure, including for non-multilinear identities such as the
 Jordan identity.
 
+The expansion runs over the integers.  Each slot's tensor is scaled once
+by D_s, the lcm of its coefficient denominators, and each term of a spec
+by the powers of D_s its products lack, so the whole expansion is one
+constant prod_s D_s^top_s times the rational one.  Every coefficient is
+divided back by that constant before it is reduced or compared, so the
+obstructions, and their order, are those of the rational expansion, while
+the coefficients inside it stay integers whenever the spec's are.
+
 The ``builtin`` registry returns, for each named variety, the tuple of
 identity specs that define it (several for bundled definitions such as
 ``mock_lie`` = commutative + Jacobi).  Two-slot names follow a fixed slot
@@ -19,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .algebra import Element, Multiplication, Subspace, centralizer, multiply
@@ -339,24 +348,78 @@ def _eval_term(term: Term, mults: Sequence[Multiplication], elements: Sequence[E
     return multiply(mults[term.slot], left, right)
 
 
-def _expand(spec: IdentitySpec, mults: Sequence[Multiplication], elements: Sequence[Element]) -> Element:
-    dim = mults[0].dim
-    total = Element.zero(dim)
-    for coeff, term in spec.terms:
-        total = total + _eval_term(term, mults, elements).scale(coeff)
-    return total
+def _slot_degree(term: Term, slot: int) -> int:
+    """How many products of the given slot the term applies."""
+    if isinstance(term, Var):
+        return 0
+    return (term.slot == slot) + _slot_degree(term.left, slot) + _slot_degree(term.right, slot)
 
 
-def _monomial_ideal_reduce(p: Poly, generators: Sequence[Poly]) -> Poly:
-    """Remainder of ``p`` modulo a monomial ideal given by monomial generators."""
+def _clear_denominators(mults: Sequence[Multiplication]) -> Tuple[List[Multiplication], List[int]]:
+    """Each slot tensor scaled to integer coefficients, with its scale D_s.
+
+    D_s is the lcm of the coefficient denominators of slot s; a slot that
+    is already integral is returned as it is, with D_s = 1.
+    """
+    cleared, denominators = [], []
+    for m in mults:
+        d = 1
+        for entry in m.entries.values():
+            for coeff in entry.terms.values():
+                if type(coeff) is not int:
+                    d = lcm(d, coeff.denominator)
+        cleared.append(m if d == 1 else m.scale(d))
+        denominators.append(d)
+    return cleared, denominators
+
+
+def _expand_cleared(
+    terms: Sequence[Tuple[Fraction, Term]],
+    cleared: Sequence[Multiplication],
+    denominators: Sequence[int],
+    elements: Sequence[Element],
+) -> Tuple[Element, int]:
+    """Expand ``sum c * term`` on tensors cleared of denominators.
+
+    ``cleared[s]`` is slot s's tensor times ``denominators[s]``.  A term
+    applying deg_s products of slot s then comes out D_s^deg_s times too
+    large, so each term is weighted by prod_s D_s^(top_s - deg_s), top_s
+    being the largest deg_s over ``terms``.  Returns ``(E, C)``: the
+    expansion over the original tensors is E / C, with C = prod_s D_s^top_s.
+    Every partial sum is C times the one over the original tensors, so the
+    same terms cancel in the same order, and E is built from integer
+    coefficients whenever the spec's coefficients are integers.
+    """
+    weights, common = [1] * len(terms), 1
+    for slot, d in enumerate(denominators):
+        if d != 1:
+            degrees = [_slot_degree(term, slot) for _, term in terms]
+            top = max(degrees)
+            weights = [w * d ** (top - g) for w, g in zip(weights, degrees)]
+            common *= d ** top
+    total = Element.zero(cleared[0].dim)
+    for (coeff, term), weight in zip(terms, weights):
+        if weight != 1:
+            coeff = coeff * weight
+        total = total + _eval_term(term, cleared, elements).scale(coeff)
+    return total, common
+
+
+def _monomial_generators(modulo: Sequence[Poly]) -> List[Dict[str, int]]:
+    """The exponent maps of the nonzero generators of a monomial ideal."""
     gens = []
-    for g in generators:
+    for g in modulo:
         if g.is_zero():
             continue
         if len(g.terms) != 1:
             raise ValueError(f"constraint {g} is not a single monomial")
         (mono, _), = g.terms.items()
         gens.append(dict(mono))
+    return gens
+
+
+def _monomial_ideal_reduce(p: Poly, gens: Sequence[Dict[str, int]]) -> Poly:
+    """Remainder of ``p`` modulo the monomial ideal with these exponent maps."""
     if not gens:
         return p
     kept = {}
@@ -385,9 +448,14 @@ def check_identity(
 
     Obstructions are the coefficients of the generic-coordinate monomials
     that fail to vanish: polynomials in whatever parameters remain in the
-    structure constants.  ``modulo`` reduces obstructions by a monomial
-    ideal first (used for tables carrying side constraints such as
-    ``ab = 0``).
+    structure constants.  The expansion runs over integers: each slot's
+    tensor is scaled once by the lcm D_s of its coefficient denominators,
+    each term is weighted by the powers of D_s it lacks, and every
+    coefficient is divided back by the common factor prod_s D_s^top_s, so
+    the obstructions are exactly those of the plain rational expansion.
+    ``modulo`` then reduces them by a monomial ideal (used for tables
+    carrying side constraints such as ``ab = 0``); a generator that is not
+    a single monomial raises ``ValueError`` before anything is expanded.
     """
     if isinstance(mults, Multiplication):
         mults = [mults]
@@ -398,12 +466,14 @@ def check_identity(
     dim = mults[0].dim
     if any(m.dim != dim for m in mults):
         raise DimMismatch("multiplications act on different dimensions")
+    gens = _monomial_generators(modulo)
 
     avoid = set()
     for m in mults:
         avoid |= m.names()
     for g in modulo:
         avoid |= g.names()
+    cleared, denominators = _clear_denominators(mults)
 
     obstructions: List[Poly] = []
     seen = set()
@@ -415,10 +485,12 @@ def check_identity(
         names = fresh_generic_names(one.nvars, dim, avoid)
         generic = set(n for group in names for n in group)
         elements = [Element([Poly.var(n) for n in group]) for group in names]
-        result = _expand(one, mults, elements)
+        result, common = _expand_cleared(one.terms, cleared, denominators, elements)
         for coordinate in result.coords:
             for _, coeff in coordinate.split_by(generic).items():
-                reduced = _monomial_ideal_reduce(coeff, modulo)
+                if common != 1:
+                    coeff = coeff / common
+                reduced = _monomial_ideal_reduce(coeff, gens)
                 if not reduced.is_zero() and reduced not in seen:
                     seen.add(reduced)
                     obstructions.append(reduced)
@@ -433,9 +505,11 @@ def check_ann_equality(
 ) -> Verdict:
     """Whether lhs - rhs lands in the given annihilator for all arguments.
 
-    Expands the difference with generic coordinates; for each monomial in
-    the generic coordinates, the vector of coefficients (one per basis
-    index) must be rational and must lie in the span of ``ann``.
+    Expands the difference with generic coordinates, as one combination
+    over denominator-cleared tensors like ``check_identity``; for each
+    monomial in the generic coordinates, the vector of coefficients (one
+    per basis index), divided back by the common factor, must be rational
+    and must lie in the span of ``ann``.
     """
     if isinstance(mults, Multiplication):
         mults = [mults]
@@ -454,11 +528,15 @@ def check_ann_equality(
     generic = set(n for group in names for n in group)
     elements = [Element([Poly.var(n) for n in group]) for group in names]
 
-    diff = _expand(lhs, mults, elements) - _expand(rhs, mults, elements)
+    cleared, denominators = _clear_denominators(mults)
+    terms = lhs.terms + tuple((-c, t) for c, t in rhs.terms)
+    diff, common = _expand_cleared(terms, cleared, denominators, elements)
     by_monomial: Dict[tuple, List[Poly]] = {}
     for k, coordinate in enumerate(diff.coords):
         for mono, coeff in coordinate.split_by(generic).items():
-            by_monomial.setdefault(mono, [Poly.zero()] * dim)[k] = coeff
+            by_monomial.setdefault(mono, [Poly.zero()] * dim)[k] = (
+                coeff if common == 1 else coeff / common
+            )
 
     obstructions: List[Poly] = []
     for mono, vector in sorted(by_monomial.items()):

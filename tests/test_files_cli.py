@@ -73,6 +73,9 @@ def test_parse_errors():
         '{"dim": 2, "table": [{"i": 1, "j": 1, "k": 1, "coeff": true}]}': "table[0]",
         '{"dim": 2, "constraints": [1]}': "constraints",
         '{"dim": 2, "params": ["a", "b"], "constraints": "a*b"}': "constraints",
+        # constraints generate a monomial ideal: one monomial of positive degree each
+        '{"dim": 2, "params": ["a", "b"], "constraints": ["a + b"]}': "constraints[0]",
+        '{"dim": 2, "params": ["a"], "constraints": ["a^2", "1"]}': "constraints[1]",
     }
     for text, field in bad.items():
         with pytest.raises(ParseError) as info:
@@ -86,6 +89,23 @@ def test_cli_parse_error_exit_code(tmp_path):
     code, out, err = run_cli("square", str(path))
     assert code == 2 and out == ""
     assert "field 'table[0]'" in err
+
+
+def test_cli_check_rejects_a_non_monomial_constraint(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"dim": 2, "params": ["a", "b"], "constraints": ["a + b"], '
+                    '"table": [{"i": 1, "j": 1, "k": 1, "coeff": "1"}]}')
+    code, out, err = run_cli("check", str(path), "--id", "associative")
+    assert code == 2 and out == ""
+    assert "field 'constraints[0]'" in err
+
+
+def test_cli_check_fractional_golden():
+    code, out, err = run_cli(
+        "check", str(GOLDEN / "frac3.json"), "--id", "jacobi,jordan,associative"
+    )
+    assert code == 4 and err == ""
+    assert out == (GOLDEN / "check_frac3.txt").read_text()
 
 
 def test_parse_with_params_and_constraints():

@@ -15,10 +15,11 @@ from kantor.identities import (
     builtin_names,
     check_ann_equality,
     check_identity,
+    fresh_generic_names,
     probe_cb_cl,
 )
 from kantor.linsolve import rank
-from kantor.poly import Poly
+from kantor.poly import Poly, parse_poly
 from kantor.product import kantor_square
 
 
@@ -29,29 +30,83 @@ def rand_matrix(rng, dim):
             return m
 
 
+def eval_term(mults, term, values):
+    """The term's value with each variable bound to an element of ``values``."""
+    if isinstance(term, Var):
+        return values[term.index]
+    return multiply(
+        mults[term.slot],
+        eval_term(mults, term.left, values),
+        eval_term(mults, term.right, values),
+    )
+
+
+def plain_combination(mults, terms, values):
+    """sum c * term over Fraction coefficients, on the tensors as given."""
+    total = Element.zero(mults[0].dim)
+    for coeff, term in terms:
+        total = total + eval_term(mults, term, values).scale(coeff)
+    return total
+
+
 def enumeration_verdict(mults, spec):
     """Oracle for multilinear specs: evaluate on all basis assignments."""
     if isinstance(mults, Multiplication):
         mults = [mults]
     dim = mults[0].dim
     basis = [Element.basis(dim, i) for i in range(dim)]
-
-    def eval_term(term, assignment):
-        if isinstance(term, Var):
-            return assignment[term.index]
-        return multiply(
-            mults[term.slot],
-            eval_term(term.left, assignment),
-            eval_term(term.right, assignment),
-        )
-
     for assignment in itertools.product(basis, repeat=spec.nvars):
-        total = Element.zero(dim)
-        for coeff, term in spec.terms:
-            total = total + eval_term(term, assignment).scale(coeff)
-        if not total.is_zero():
+        if not plain_combination(mults, spec.terms, assignment).is_zero():
             return False
     return True
+
+
+def plain_obstructions(mults, specs, modulo=()):
+    """Reference checker: the generic expansion over the uncleared tensors.
+
+    Same obstructions, in the same order, as ``check_identity`` must give:
+    the coefficients of the generic monomials, reduced by the monomial
+    ideal of ``modulo`` and deduplicated in order of appearance.
+    """
+    if isinstance(mults, Multiplication):
+        mults = [mults]
+    if isinstance(specs, IdentitySpec):
+        specs = (specs,)
+    dim = mults[0].dim
+    avoid = set().union(*(m.names() for m in mults), *(g.names() for g in modulo))
+    gens = [dict(mono) for g in modulo for mono in g.terms]
+    found = []
+    for spec in specs:
+        names = fresh_generic_names(spec.nvars, dim, avoid)
+        generic = {n for group in names for n in group}
+        elements = [Element([Poly.var(n) for n in group]) for group in names]
+        total = plain_combination(mults, spec.terms, elements)
+        for coordinate in total.coords:
+            for coeff in coordinate.split_by(generic).values():
+                kept = Poly({
+                    mono: c for mono, c in coeff.terms.items()
+                    if not any(all(dict(mono).get(n, 0) >= e for n, e in gen.items()) for gen in gens)
+                })
+                if not kept.is_zero() and kept not in found:
+                    found.append(kept)
+    return tuple(found)
+
+
+def assert_matches_plain(mults, specs, modulo=()):
+    verdict = check_identity(mults, specs, modulo=modulo)
+    expected = plain_obstructions(mults, specs, modulo)
+    assert verdict.obstructions == expected
+    assert [str(p) for p in verdict.obstructions] == [str(p) for p in expected]
+    assert verdict.holds == (not expected)
+    return verdict
+
+
+def rand_fraction_table(rng, dim, denominators=(1, 2, 3, 4), density=1.0):
+    entries = {}
+    for key in itertools.product(range(1, dim + 1), repeat=3):
+        if rng.random() < density:
+            entries[key] = F(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice(denominators))
+    return Multiplication.from_table(dim, entries)
 
 
 def test_registry_covers_the_documented_names():
@@ -296,3 +351,99 @@ def test_probe_cb_cl():
     # empty probe list gives an empty report
     empty = probe_cb_cl(qt4, [])
     assert empty.cb == () and empty.cl == ()
+
+
+# -- the denominator-cleared expansion against the plain one ------------------
+
+def test_cleared_expansion_matches_plain_on_fractional_tables():
+    rng = random.Random(61)
+    for dim in (2, 3):
+        for _ in range(2):
+            table = rand_fraction_table(rng, dim)
+            assert_matches_plain(kantor_square(table), builtin("jacobi"))
+            for name in ("associative", "jordan", "left_symmetric"):
+                assert_matches_plain(table, builtin(name))
+
+
+def test_cleared_expansion_matches_plain_with_a_denominator_per_slot():
+    rng = random.Random(67)
+    for dim in (2, 3):
+        dot = rand_fraction_table(rng, dim, denominators=(1, 2), density=0.5)
+        bracket = rand_fraction_table(rng, dim, denominators=(1, 3), density=0.5)
+        for name in ("leibniz_rule", "dual_leibniz_rule", "postlie_2"):
+            assert_matches_plain([dot, bracket], builtin(name))
+            assert_matches_plain([bracket, dot], builtin(name))
+            # one integral slot: only the other slot is cleared
+            assert_matches_plain([dot.scale(2), bracket], builtin(name))
+
+
+def test_cleared_expansion_weights_terms_by_their_slot_degrees():
+    x, y, z = Var(0), Var(1), Var(2)
+
+    def d(a, b):
+        return App(0, a, b)
+
+    def s(a, b):
+        return App(1, a, b)
+
+    one_slot = IdentitySpec("mixed", 3, 1, (
+        (F(1), d(x, y)),
+        (F(-2), d(d(x, y), z)),
+        (F(1), d(x, d(y, d(z, x)))),
+    ))
+    two_slot = IdentitySpec("mixed2", 3, 2, (
+        (F(1), s(x, y)),
+        (F(3), d(d(x, y), z)),
+        (F(-1), d(x, s(y, z))),
+        (F(1), s(s(x, y), d(z, z))),
+    ))
+    fractional = IdentitySpec("halves", 2, 1, ((F(1, 2), d(x, y)), (F(-1, 3), d(y, x))))
+    rng = random.Random(71)
+    for dim in (2, 3):
+        dot = rand_fraction_table(rng, dim, denominators=(2, 4), density=0.6)
+        bracket = rand_fraction_table(rng, dim, denominators=(3,), density=0.6)
+        assert_matches_plain(dot, one_slot)
+        assert_matches_plain([dot, bracket], two_slot)
+        assert_matches_plain(dot, fractional)
+        assert_matches_plain(dot.scale(4), fractional)
+
+
+def test_cleared_expansion_on_a_parametric_table_modulo_constraints():
+    half_a = parse_poly("1/2*a", allowed=("a", "b"))
+    table = Multiplication.from_table(3, {
+        (1, 1, 2): half_a,
+        (1, 2, 3): parse_poly("b/3 + 1", allowed=("a", "b")),
+        (2, 1, 1): F(3, 4),
+        (2, 2, 3): half_a,
+        (3, 1, 3): 1,
+    })
+    modulo = (parse_poly("a*b"), parse_poly("a^2"))
+    for name in ("associative", "jacobi", "jordan", "commutative"):
+        verdict = assert_matches_plain(table, builtin(name), modulo)
+        assert not verdict.holds, name
+        assert_matches_plain(table, builtin(name))
+
+
+def test_non_monomial_modulo_fails_before_expanding():
+    # Rejected even when the identity holds, not only once an obstruction survives.
+    with pytest.raises(ValueError):
+        check_identity(Multiplication.zero(2), builtin("commutative"), modulo=[parse_poly("a + b")])
+
+
+def test_ann_equality_failure_on_a_fractional_table():
+    x, y, z = Var(0), Var(1), Var(2)
+    m = Multiplication.from_table(2, {(1, 2, 1): F(1, 2), (2, 2, 2): F(1, 3)})
+    xy = _spec("xy", 2, [(1, App(0, x, y))])
+    yx = _spec("yx", 2, [(1, App(0, y, x))])
+    xy_z = _spec("xy_z", 3, [(1, App(0, App(0, x, y), z))])
+    verdict = check_ann_equality(m, xy, yx, annihilator(m))
+    assert not verdict.holds
+    assert [str(p) for p in verdict.obstructions] == ["1/2*E1*x1_1*x2_2", "-1/2*E1*x1_2*x2_1"]
+    # sides of different degree in the product
+    verdict = check_ann_equality(m, xy_z, xy, annihilator(m))
+    assert [str(p) for p in verdict.obstructions] == [
+        "-1/2*E1*x1_1*x2_2",
+        "1/4*E1*x1_1*x2_2*x3_2",
+        "-1/3*E2*x1_2*x2_2",
+        "1/9*E2*x1_2*x2_2*x3_2",
+    ]
