@@ -27,6 +27,7 @@ from typing import Dict
 
 from .algebra import Algebra, Multiplication
 from .errors import IndexOutOfRange, ParseError, UndeclaredParam
+from .identities import _monomial_generators
 from .poly import Poly, parse_poly
 
 
@@ -63,14 +64,11 @@ def parse_algebra(text: str) -> Algebra:
         raise ParseError("must be a list of strings", field="constraints")
     constraints = []
     for idx, c in enumerate(texts):
-        where = f"constraints[{idx}]"
         try:
             poly = parse_poly(c, allowed=params)
-        except ParseError as exc:
-            raise ParseError(str(exc), field=where) from None
-        # Constraints generate a monomial ideal; a constant would make every check vacuous.
-        if len(poly.terms) != 1 or () in poly.terms:
-            raise ParseError(f"{c!r} is not a single monomial of positive degree", field=where)
+            _monomial_generators([poly])
+        except (ParseError, ValueError) as exc:
+            raise ParseError(str(exc), field=f"constraints[{idx}]") from None
         constraints.append(poly)
 
     table = data.get("table", [])

@@ -406,13 +406,15 @@ def _expand_cleared(
 
 
 def _monomial_generators(modulo: Sequence[Poly]) -> List[Dict[str, int]]:
-    """The exponent maps of the nonzero generators of a monomial ideal."""
+    """The exponent maps of the generators of a monomial ideal.
+
+    Each generator must be a single monomial of positive degree: zero
+    generates nothing, and a constant would make every check hold.
+    """
     gens = []
     for g in modulo:
-        if g.is_zero():
-            continue
-        if len(g.terms) != 1:
-            raise ValueError(f"constraint {g} is not a single monomial")
+        if len(g.terms) != 1 or () in g.terms:
+            raise ValueError(f"constraint {g} is not a single monomial of positive degree")
         (mono, _), = g.terms.items()
         gens.append(dict(mono))
     return gens
@@ -455,7 +457,8 @@ def check_identity(
     the obstructions are exactly those of the plain rational expansion.
     ``modulo`` then reduces them by a monomial ideal (used for tables
     carrying side constraints such as ``ab = 0``); a generator that is not
-    a single monomial raises ``ValueError`` before anything is expanded.
+    a single monomial of positive degree raises ``ValueError`` before
+    anything is expanded.
     """
     if isinstance(mults, Multiplication):
         mults = [mults]

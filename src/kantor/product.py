@@ -17,9 +17,8 @@ left product is the action of L on the tensor of B:
 
     [[A, B]]_ij^k = sum_m B_ij^m L_mk - sum_m L_im B_mj^k - sum_m L_jm B_im^k.
 
-``kantor_product`` reads L off the nonzero entries of A, as
-L_ik = sum_j u_j A_ji^k over the nonzero u_j, and then walks the nonzero
-entries B_ij^m once, so each nonzero entry of A or B costs a few
+``kantor_product`` builds L with n calls of ``multiply`` and then walks the
+nonzero entries B_ij^m once, so each nonzero entry of B costs a few
 polynomial products.
 
 When no u is supplied, a symbolic vector with fresh coordinates (u1, ...,
@@ -29,9 +28,7 @@ u-coordinates.
 
 from __future__ import annotations
 
-# ``multiply`` is no longer called here; it stays importable as
-# ``kantor.product.multiply``, where benchmarks/test_smoke.py looks it up.
-from .algebra import Element, Multiplication, _from_entries, multiply  # noqa: F401
+from .algebra import Element, Multiplication, _from_entries, multiply
 from .errors import DimMismatch
 from .poly import Poly
 
@@ -59,18 +56,13 @@ def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = Non
         raise DimMismatch("multiplications act on different dimensions")
     u = _resolve_u(a, b, u)
     n = a.dim
-    zero = Poly.zero()
-    # lu[i][k] = L_ik, the coefficient of e_k in A(u, e_i).
-    lu = [[zero] * n for _ in range(n)]
-    us = u.coords
-    for (j, i, k), entry in a.entries.items():
-        if not us[j].is_zero():
-            lu[i][k] = lu[i][k] + us[j] * entry
+    lu = [multiply(a, u, Element.basis(n, i)).coords for i in range(n)]
     # rows[m]: the nonzero (k, L_mk); cols[i]: the nonzero (i', L_i'i).
     rows = [[(k, c) for k, c in enumerate(lu[m]) if not c.is_zero()] for m in range(n)]
     cols = [[(r, lu[r][i]) for r in range(n) if not lu[r][i].is_zero()] for i in range(n)]
     out = {}
     get = out.get
+    zero = Poly.zero()
     for (i, j, m), entry in b.entries.items():
         for k, c in rows[m]:
             key = (i, j, k)

@@ -428,6 +428,11 @@ def test_non_monomial_modulo_fails_before_expanding():
     # Rejected even when the identity holds, not only once an obstruction survives.
     with pytest.raises(ValueError):
         check_identity(Multiplication.zero(2), builtin("commutative"), modulo=[parse_poly("a + b")])
+    # A constant generator would make every check hold; zero generates nothing.
+    noncommutative = Multiplication.from_table(2, {(1, 1, 1): 1, (1, 2, 2): 1})
+    for bad in (Poly.const(1), Poly.zero()):
+        with pytest.raises(ValueError):
+            check_identity(noncommutative, builtin("commutative"), modulo=[parse_poly("a^2"), bad])
 
 
 def test_ann_equality_failure_on_a_fractional_table():
