@@ -156,7 +156,6 @@ def test_left_product_matches_its_definition():
             a, b = rand_mult(rng, dim), rand_mult(rng, dim)
             while b == a:
                 b = rand_mult(rng, dim)
-            # u with zero coordinates: L skips the entries A_ji^k whose u_j is 0
             mixed = Element([F(i + 1, 2) if i % 2 else 0 for i in range(dim)])
             mixed_symbolic = Element([Poly.var(f"u{i + 1}") if i % 2 == 0 else 0 for i in range(dim)])
             for u in (Element.symbolic("u", dim), rand_vector(rng, dim), Element.zero(dim),
