@@ -157,8 +157,8 @@ def _content_normalize(p: Poly) -> Poly:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
     scale = Fraction(den_lcm, num_gcd if num_gcd else 1)
     q = p * scale
-    lead = min(q.terms)
-    if q.terms[lead] < 0:
+    _, lead = min(q.monomials())
+    if lead < 0:
         q = -q
     return q
 
@@ -197,7 +197,7 @@ def _monomial_names(p: Poly) -> Optional[List[str]]:
     """The variable names of a single-term polynomial, else None."""
     if len(p.terms) != 1:
         return None
-    (mono, _), = p.terms.items()
+    (mono, _), = p.monomials()
     if not mono:
         return None
     return [name for name, _ in mono]
@@ -206,7 +206,7 @@ def _monomial_names(p: Poly) -> Optional[List[str]]:
 def _split_inequation(q: Poly) -> List[Poly]:
     """Factor the monomial content: m * p != 0 iff each variable of m and p != 0."""
     common = None
-    for mono, _ in q.terms.items():
+    for mono, _ in q.monomials():
         exps = dict(mono)
         if common is None:
             common = exps
@@ -217,7 +217,7 @@ def _split_inequation(q: Poly) -> List[Poly]:
     parts = [Poly.var(name) for name in sorted(common or {})]
     if common:
         stripped = {}
-        for mono, coeff in q.terms.items():
+        for mono, coeff in q.monomials():
             exps = dict(mono)
             for name, e in common.items():
                 exps[name] -= e

@@ -74,3 +74,7 @@ class ParseError(KantorError):
             where.append(f"field {field!r}")
         suffix = f" ({', '.join(where)})" if where else ""
         super().__init__(message + suffix)
+
+
+class ExponentOverflow(KantorError, ValueError):
+    """A monomial exponent would pass ``poly.MAX_EXPONENT`` (2**31 - 1)."""

@@ -413,10 +413,10 @@ def _monomial_generators(modulo: Sequence[Poly]) -> List[Dict[str, int]]:
     """
     gens = []
     for g in modulo:
-        if len(g.terms) != 1 or () in g.terms:
+        terms = list(g.monomials())
+        if len(terms) != 1 or not terms[0][0]:
             raise ValueError(f"constraint {g} is not a single monomial of positive degree")
-        (mono, _), = g.terms.items()
-        gens.append(dict(mono))
+        gens.append(dict(terms[0][0]))
     return gens
 
 
@@ -425,7 +425,7 @@ def _monomial_ideal_reduce(p: Poly, gens: Sequence[Dict[str, int]]) -> Poly:
     if not gens:
         return p
     kept = {}
-    for mono, coeff in p.terms.items():
+    for mono, coeff in p.monomials():
         exps = dict(mono)
         divisible = any(
             all(exps.get(name, 0) >= e for name, e in gen.items()) for gen in gens
@@ -517,6 +517,8 @@ def check_ann_equality(
     if isinstance(mults, Multiplication):
         mults = [mults]
     mults = list(mults)
+    if not mults:
+        raise SlotMismatch("no multiplications supplied")
     dim = mults[0].dim
     if ann.ambient != dim:
         raise DimMismatch("annihilator ambient dimension differs")

@@ -152,7 +152,7 @@ def solve_linear(system: Sequence[Poly], unknowns: Sequence[str]) -> LinearSolut
     rows: Matrix = []
     for p in system:
         row = [Fraction(0)] * (len(unknowns) + 1)
-        for mono, coeff in p.terms.items():
+        for mono, coeff in p.monomials():
             if not mono:
                 row[-1] += coeff
                 continue

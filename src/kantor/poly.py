@@ -4,11 +4,27 @@ A polynomial is stored as a map from monomials to nonzero coefficients.  A
 coefficient is an ``int`` when it is integral and a ``Fraction`` only when
 it is not, so integer arithmetic, which is most of it, never builds a
 ``Fraction``.  ``constant_value()`` always returns a ``Fraction``, so that
-callers dividing constants stay exact.  A monomial is a tuple of
-``(name, exponent)`` pairs, sorted by name, with strictly positive
-exponents; the empty tuple is the constant monomial.  Indeterminate names
-are interned strings, so name comparisons inside hot loops are pointer
-comparisons.
+callers dividing constants stay exact.
+
+A stored monomial is one ``int`` that packs its exponent vector (Monagan
+and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
+exponent vectors", CASC 2007).  A process-wide registry gives each
+indeterminate name, in the order names are first seen, an index i; the
+exponent of name i sits in the 32-bit field at bit 32*i.  Multiplying two
+monomials is adding their ints, the constant monomial is ``0``, and taking
+the coefficients in one name or a set of names is a shift and a mask.
+Every exponent must be below 2**31 (``MAX_EXPONENT``): the top bit of each
+field is a guard, and a product or power that reaches it raises
+:class:`ExponentOverflow`, a ``ValueError``, instead of carrying into the
+next field.
+
+The layout is private to this module.  Outside it a monomial is readable: a
+tuple of ``(name, exponent)`` pairs sorted by name, with strictly positive
+exponents, the empty tuple being the constant monomial.  ``Poly(mapping)``
+takes readable monomials, ``monomials()`` and ``split_by`` give them back,
+printing sorts on them, and pickling goes through them, so no output
+depends on the order in which names were registered and a polynomial means
+the same in another process.
 
 The zero polynomial is the empty term map.  Every operation normalizes its
 result (zero coefficients are never stored, integral ones are ``int``),
@@ -24,17 +40,82 @@ the name/exponent sequence), giving deterministic strings such as
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 import sys
+import threading
 from fractions import Fraction
-from typing import Dict, Mapping, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Tuple, Union
 
-from .errors import ParseError
+from .errors import ExponentOverflow, ParseError
 
 QQ = Fraction
 
+# A readable monomial: (name, exponent) pairs sorted by name, exponents > 0.
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
+
+MAX_EXPONENT = (1 << 31) - 1
+_FIELD = (1 << 32) - 1
+
+# The registry: name -> bit offset of its field, field index -> name, and
+# the guard bit of every registered field.  Lookups take no lock; only
+# registering a new name does.
+_SHIFT: Dict[str, int] = {}
+_NAMES: List[str] = []
+_GUARD = 0
+_REGISTER = threading.Lock()
+
+
+def _shift(name: str) -> int:
+    """The bit offset of ``name``'s exponent field, registering it if new."""
+    global _GUARD
+    shift = _SHIFT.get(name)
+    if shift is None:
+        with _REGISTER:
+            shift = _SHIFT.get(name)
+            if shift is None:
+                shift = 32 * len(_NAMES)
+                _NAMES.append(sys.intern(name))
+                _GUARD |= 1 << (shift + 31)
+                _SHIFT[_NAMES[-1]] = shift
+    return shift
+
+
+def _overflow() -> ExponentOverflow:
+    return ExponentOverflow(f"exponent above {MAX_EXPONENT}")
+
+
+def _encode(mono: Monomial) -> int:
+    key = 0
+    for name, exp in mono:
+        if exp < 0:
+            raise ValueError(f"negative exponent {exp} of {name}")
+        if exp > MAX_EXPONENT:
+            raise _overflow()
+        key += exp << _shift(name)
+    if key & _GUARD:
+        raise _overflow()
+    return key
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _decode(key: int) -> Monomial:
+    """The readable monomial of a packed key."""
+    pairs = []
+    while key:
+        shift = ((key & -key).bit_length() - 1) & ~31
+        exp = (key >> shift) & _FIELD
+        pairs.append((_NAMES[shift >> 5], exp))
+        key -= exp << shift
+    pairs.sort()
+    return tuple(pairs)
+
+
+def _graded(term) -> tuple:
+    mono = term[0]
+    return (sum(e for _, e in mono), mono)
 
 
 def _as_coeff(value) -> Scalar:
@@ -46,55 +127,28 @@ def _as_coeff(value) -> Scalar:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
-def _mono_degree(mono: Monomial) -> int:
-    return sum(e for _, e in mono)
-
-
-def _mono_key(mono: Monomial):
-    return (_mono_degree(mono), mono)
-
-
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    # Both factors are sorted by name, so one merge pass keeps the product sorted.
-    out = []
-    i = j = 0
-    la, lb = len(a), len(b)
-    while i < la and j < lb:
-        na, ea = a[i]
-        nb, eb = b[j]
-        if na == nb:
-            out.append((na, ea + eb))
-            i += 1
-            j += 1
-        elif na < nb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    return tuple(out) + a[i:] + b[j:]
-
-
 class Poly:
     """Immutable sparse polynomial over the rationals."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        normalized: Dict[Monomial, Scalar] = {}
+        """A polynomial from a map of readable monomials to coefficients."""
+        summed: Dict[int, Scalar] = {}
         if terms:
             for mono, coeff in terms.items():
-                coeff = _as_coeff(coeff)
-                if coeff:
-                    normalized[mono] = coeff
-        object.__setattr__(self, "terms", normalized)
+                key = _encode(mono)
+                summed[key] = summed.get(key, 0) + _as_coeff(coeff)
+        object.__setattr__(
+            self, "terms", {key: _as_coeff(c) for key, c in summed.items() if c}
+        )
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        # Packed keys depend on this process's registry; readable ones do not.
+        return (Poly, (dict(self.monomials()),))
 
     # -- constructors ------------------------------------------------------
 
@@ -107,11 +161,11 @@ class Poly:
         value = _as_coeff(value)
         if not value:
             return _ZERO
-        return _from_normalized({(): value})
+        return _from_normalized({0: value})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return _from_normalized({((sys.intern(name), 1),): 1})
+        return _from_normalized({1 << _shift(name): 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -119,40 +173,42 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(not mono for mono in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if indeterminates remain)."""
         if not self.terms:
             return Fraction(0)
         if self.is_constant():
-            return Fraction(self.terms[()])
+            return Fraction(self.terms[0])
         raise ValueError(f"not a constant polynomial: {self}")
 
+    def monomials(self) -> Iterator[Tuple[Monomial, Scalar]]:
+        """The ``(readable monomial, coefficient)`` pairs, in storage order."""
+        return zip(map(_decode, self.terms), self.terms.values())
+
     def names(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for name, _ in mono:
-                out.add(name)
-        return out
+        return {name for name, _ in _decode(functools.reduce(operator.or_, self.terms, 0))}
 
     def coeffs_in(self, name: str) -> Dict[int, "Poly"]:
         """Coefficients of the powers of ``name``: p = sum_k coeffs[k] * name^k.
 
         Only powers that occur are keys, so the zero polynomial gives ``{}``.
         """
-        groups: Dict[int, Dict[Monomial, Scalar]] = {}
-        for mono, coeff in self.terms.items():
-            e = 0
-            rest = mono
-            for pos, (n, exp) in enumerate(mono):
-                if n == name:
-                    e = exp
-                    rest = mono[:pos] + mono[pos + 1:]
-                    break
+        shift = _SHIFT.get(name)
+        if shift is None:
+            return {0: self} if self.terms else {}
+        groups: Dict[int, Dict[int, Scalar]] = {}
+        for key, coeff in self.terms.items():
+            e = (key >> shift) & _FIELD
+            if e:
+                key -= e << shift
+            bucket = groups.get(e)
+            if bucket is None:
+                bucket = groups[e] = {}
             # Distinct monomials with the same power of ``name`` keep distinct
             # rests, so no coefficient is summed and none can vanish here.
-            groups.setdefault(e, {})[rest] = coeff
+            bucket[key] = coeff
         return {e: _from_normalized(bucket) for e, bucket in groups.items()}
 
     def coefficient(self, name: str) -> "Poly":
@@ -170,17 +226,21 @@ class Poly:
     def split_by(self, names) -> Dict[Monomial, "Poly"]:
         """Group terms by their sub-monomial in ``names``.
 
-        Returns a map from the restricted monomial to the polynomial formed
-        by the remaining factors, so that ``p = sum(key * value)``.
+        Returns a map from the restricted (readable) monomial to the
+        polynomial formed by the remaining factors, so that
+        ``p = sum(key * value)``.
         """
-        names = set(names)
-        groups: Dict[Monomial, Dict[Monomial, Scalar]] = {}
-        for mono, coeff in self.terms.items():
-            selected = tuple((n, e) for n, e in mono if n in names)
-            rest = tuple((n, e) for n, e in mono if n not in names)
-            bucket = groups.setdefault(selected, {})
-            bucket[rest] = bucket.get(rest, 0) + coeff
-        return {sel: Poly(bucket) for sel, bucket in groups.items() if any(bucket.values())}
+        mask = 0
+        for name in names:
+            shift = _SHIFT.get(name)
+            if shift is not None:
+                mask |= _FIELD << shift
+        groups: Dict[int, Dict[int, Scalar]] = {}
+        for key, coeff in self.terms.items():
+            selected = key & mask
+            # As in coeffs_in, no two terms share both parts.
+            groups.setdefault(selected, {})[key - selected] = coeff
+        return {_decode(sel): _from_normalized(bucket) for sel, bucket in groups.items()}
 
     # -- arithmetic --------------------------------------------------------
 
@@ -230,13 +290,17 @@ class Poly:
             return NotImplemented
         if not self.terms or not other.terms:
             return _ZERO
-        out: Dict[Monomial, Scalar] = {}
+        out: Dict[int, Scalar] = {}
         get = out.get
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = _mono_mul(m1, m2)
+                mono = m1 + m2
                 prev = get(mono)
                 out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+        # Fields below 2**31 sum below 2**32, so a field that overflowed
+        # shows its guard bit and nothing has carried into the next one.
+        if functools.reduce(operator.or_, out) & _GUARD:
+            raise _overflow()
         return _from_normalized({
             mono: coeff if type(coeff) is int or coeff.denominator != 1 else coeff.numerator
             for mono, coeff in out.items() if coeff
@@ -252,11 +316,13 @@ class Poly:
         other = _as_coeff(other)
         if not other:
             raise ZeroDivisionError("division by zero")
-        return Poly({m: Fraction(c, other) for m, c in self.terms.items()})
+        return _from_normalized({m: _as_coeff(Fraction(c, other)) for m, c in self.terms.items()})
 
     def __pow__(self, exponent: int) -> "Poly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("exponent must be a nonnegative integer")
+        if exponent > MAX_EXPONENT and not self.is_constant():
+            raise _overflow()
         if not exponent:
             return Poly.const(1)
         result = self
@@ -276,8 +342,8 @@ class Poly:
         # Agrees with __eq__, which equates a constant polynomial with its value.
         if not self.terms:
             return 0
-        if len(self.terms) == 1 and () in self.terms:
-            return hash(self.terms[()])
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
         return hash(frozenset(self.terms.items()))
 
     # -- substitution ------------------------------------------------------
@@ -288,13 +354,17 @@ class Poly:
             return self
         resolved = {name: _coerce_strict(value) for name, value in bindings.items()}
         total = _ZERO
-        for mono, coeff in self.terms.items():
-            factor = Poly.const(coeff)
-            for name, e in mono:
-                if name in resolved:
-                    factor = factor * resolved[name] ** e
-                else:
-                    factor = factor * _from_normalized({((name, e),): 1})
+        for key, coeff in self.terms.items():
+            free = key
+            powers = []
+            for name, e in _decode(key):
+                value = resolved.get(name)
+                if value is not None:
+                    free -= e << _SHIFT[name]
+                    powers.append(value ** e)
+            factor = _from_normalized({free: coeff})
+            for power in powers:
+                factor = factor * power
             total = total + factor
         return total
 
@@ -304,15 +374,12 @@ class Poly:
         if not self.terms:
             return "0"
         pieces = []
-        for mono in sorted(self.terms, key=_mono_key):
-            coeff = self.terms[mono]
-            factors = ["*".join(_format_power(n, e) for n, e in mono)] if mono else []
+        for mono, coeff in sorted(self.monomials(), key=_graded):
             if not mono:
                 body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = factors[0]
             else:
-                body = f"{abs(coeff)}*{factors[0]}"
+                factors = "*".join(_format_power(n, e) for n, e in mono)
+                body = factors if abs(coeff) == 1 else f"{abs(coeff)}*{factors}"
             if not pieces:
                 pieces.append(body if coeff > 0 else f"-{body}")
             else:
@@ -326,8 +393,8 @@ class Poly:
 _ZERO = Poly()
 
 
-def _from_normalized(terms: Dict[Monomial, Scalar]) -> Poly:
-    """A Poly over a term map already in canonical form.
+def _from_normalized(terms: Dict[int, Scalar]) -> Poly:
+    """A Poly over a packed term map already in canonical form.
 
     Every coefficient is nonzero, an ``int`` if integral and a ``Fraction``
     otherwise.
@@ -456,7 +523,10 @@ class _Parser:
             kind, value = self.next()
             if kind != "int":
                 raise ParseError(f"exponent must be an integer in {self.text!r}")
-            p = p ** value
+            try:
+                p = p ** value
+            except ExponentOverflow as exc:
+                raise ParseError(f"exponent {value} above {MAX_EXPONENT} in {self.text!r}") from exc
         return p
 
     def atom(self) -> Poly:

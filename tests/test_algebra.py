@@ -127,7 +127,7 @@ def oracle_annihilator_dim(m):
         for side in (multiply(m, v, Element.basis(n, j)), multiply(m, Element.basis(n, j), v)):
             for coord in side.coords:
                 row = [F(0)] * n
-                for mono, coeff in coord.terms.items():
+                for mono, coeff in coord.monomials():
                     (name, exp), = mono
                     row[int(name[1:]) - 1] = coeff
                 rows.append(row)

@@ -180,7 +180,7 @@ def dense_oracle_rows(base, ansatz, unknowns, specs):
                 total = total + eval_term(term, mults, assignment).scale(coeff)
             for coord in total.coords:
                 row = [F(0)] * len(unknowns)
-                for mono, c in coord.terms.items():
+                for mono, c in coord.monomials():
                     (name, exp), = mono
                     row[unknowns.index(name)] = c
                 if any(row):

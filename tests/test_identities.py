@@ -74,7 +74,7 @@ def plain_obstructions(mults, specs, modulo=()):
         specs = (specs,)
     dim = mults[0].dim
     avoid = set().union(*(m.names() for m in mults), *(g.names() for g in modulo))
-    gens = [dict(mono) for g in modulo for mono in g.terms]
+    gens = [dict(mono) for g in modulo for mono, _ in g.monomials()]
     found = []
     for spec in specs:
         names = fresh_generic_names(spec.nvars, dim, avoid)
@@ -84,7 +84,7 @@ def plain_obstructions(mults, specs, modulo=()):
         for coordinate in total.coords:
             for coeff in coordinate.split_by(generic).values():
                 kept = Poly({
-                    mono: c for mono, c in coeff.terms.items()
+                    mono: c for mono, c in coeff.monomials()
                     if not any(all(dict(mono).get(n, 0) >= e for n, e in gen.items()) for gen in gens)
                 })
                 if not kept.is_zero() and kept not in found:
@@ -231,6 +231,17 @@ def test_invariance_under_basis_change():
 def test_check_identity_slot_mismatch():
     with pytest.raises(SlotMismatch):
         check_identity(Multiplication.zero(2), builtin("leibniz_rule"))
+
+
+def test_no_multiplications_is_a_slot_mismatch():
+    from kantor.algebra import Subspace
+
+    x, y = Var(0), Var(1)
+    xy = _spec("xy", 2, [(1, App(0, x, y))])
+    with pytest.raises(SlotMismatch, match="no multiplications supplied"):
+        check_identity([], builtin("jacobi"))
+    with pytest.raises(SlotMismatch, match="no multiplications supplied"):
+        check_ann_equality([], xy, xy, Subspace.zero(2))
 
 
 def test_jordan_locus_of_t02_square():

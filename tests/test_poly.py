@@ -1,27 +1,40 @@
+import copy
+import os
+import pickle
+import random
+import subprocess
+import sys
+import threading
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kantor.errors import ParseError
-from kantor.poly import Poly, _mono_mul, parse_poly, poly_substitute
+from kantor.errors import ExponentOverflow, ParseError
+from kantor.poly import MAX_EXPONENT, Poly, parse_poly, poly_substitute
 
 NAMES = ["u1", "u2", "alpha", "b"]
+# Seen first in reverse alphabetical order, so printing and parsing cannot
+# lean on the order in which names were first seen.
+REVERSED = ["w_d", "w_c", "w_b", "w_a"]
+for _name in REVERSED:
+    Poly.var(_name)
 
 
 def fractions():
     return st.builds(F, st.integers(-9, 9), st.integers(1, 9))
 
 
-def monomials():
-    return st.dictionaries(st.sampled_from(NAMES), st.integers(1, 3), max_size=3).map(
+def monomials(names=NAMES):
+    return st.dictionaries(st.sampled_from(names), st.integers(1, 3), max_size=3).map(
         lambda d: tuple(sorted(d.items()))
     )
 
 
-def polys():
-    return st.dictionaries(monomials(), fractions(), max_size=5).map(Poly)
+def polys(names=NAMES):
+    return st.dictionaries(monomials(names), fractions(), max_size=5).map(Poly)
 
 
 def test_zero_and_constants():
@@ -118,7 +131,7 @@ def test_string_round_trip(p):
 @settings(max_examples=80, deadline=None)
 @given(polys(), polys())
 def test_hash_agrees_with_equality(p, q):
-    for same in (Poly(dict(reversed(list(p.terms.items())))), (p + q) - q, p * 1):
+    for same in (Poly(dict(reversed(list(p.monomials())))), (p + q) - q, p * 1):
         assert same == p and hash(same) == hash(p)
     if p == q:
         assert hash(p) == hash(q)
@@ -155,9 +168,93 @@ def _mono_mul_reference(a, b):
 
 
 @settings(max_examples=200, deadline=None)
-@given(monomials(), monomials())
-def test_mono_mul_matches_dict_and_sort(a, b):
-    assert _mono_mul(a, b) == _mono_mul_reference(a, b)
+@given(monomials(NAMES + REVERSED), monomials(NAMES + REVERSED), fractions(), fractions())
+def test_monomial_products_match_dict_merge(a, b, c, d):
+    product = Poly({a: c}) * Poly({b: d})
+    expected = [(_mono_mul_reference(a, b), c * d)] if c * d else []
+    assert list(product.monomials()) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(REVERSED), polys(NAMES))
+def test_printing_ignores_registration_order(p, q):
+    for r in (p, p * q, p + q):
+        assert parse_poly(str(r)) == r
+        assert all(list(mono) == sorted(mono) for mono, _ in r.monomials())
+    assert str(Poly.var("w_d") * Poly.var("w_a") + Poly.var("w_c") ** 2) == "w_a*w_d + w_c^2"
+
+
+def test_exponent_bound():
+    x, y = Poly.var("x"), Poly.var("y")
+    top = x ** MAX_EXPONENT
+    assert MAX_EXPONENT == 2 ** 31 - 1
+    assert list(top.monomials()) == [((("x", MAX_EXPONENT),), 1)]
+    assert str(top * y) == "x^2147483647*y"
+    assert parse_poly("x^2147483647") == top
+    assert Poly({(("x", MAX_EXPONENT),): 1}) == top
+    for overflow in (lambda: x ** 2 ** 31, lambda: top * x, lambda: (x + 1) ** 2 ** 31,
+                     lambda: x ** 2 ** 30 * x ** 2 ** 30,
+                     lambda: Poly({(("x", 2 ** 31),): 1}),
+                     lambda: Poly({(("x", MAX_EXPONENT), ("x", 1)): 1})):
+        with pytest.raises(ExponentOverflow):
+            overflow()
+    assert issubclass(ExponentOverflow, ValueError)
+    with pytest.raises(ParseError):
+        parse_poly("x^2147483648")
+    with pytest.raises(ValueError):
+        Poly({(("x", -1),): 1})
+
+
+def test_names_seen_first_by_many_threads_get_distinct_fields():
+    names = [f"thr{k}" for k in range(200)]
+    built = {}
+
+    def work(seed):
+        order = names[:]
+        random.Random(seed).shuffle(order)
+        built[seed] = [Poly.var(name) for name in order]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(built) == 8
+    product = Poly.const(1)
+    for name in names:
+        product = product * Poly.var(name)
+    assert list(product.monomials()) == [(tuple(sorted((n, 1) for n in names)), 1)]
+    for polys_of_thread in built.values():
+        assert {str(p) for p in polys_of_thread} == set(names)
+
+
+def test_pickle_and_copy_across_processes():
+    p = parse_poly("-1/2*u1*alpha^3 + 3*b^2 + u2*w_a - 7")
+    text = str(p)
+    for same in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert same == p and str(same) == text
+    # The other process sees names in another order before it unpickles.
+    script = (
+        "import pickle, sys\n"
+        "from kantor.poly import Poly, parse_poly\n"
+        "for name in ('zz', 'w_a', 'b', 'y9', 'alpha', 'u2'):\n"
+        "    Poly.var(name)\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(p)\n"
+        "print(p == parse_poly(sys.argv[1]), p.names() == {'u1', 'alpha', 'b', 'u2', 'w_a'})\n"
+    )
+    src = str(Path(sys.modules[Poly.__module__].__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", script, text], input=pickle.dumps(p),
+        capture_output=True, env=env, check=True,
+    )
+    assert done.stdout.decode().splitlines() == [text, "True True"]
 
 
 @settings(max_examples=40, deadline=None)
