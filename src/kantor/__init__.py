@@ -23,6 +23,7 @@ from .algebra import (
 )
 from .catalog import CatalogEntry, load_catalog
 from .classify import (
+    RationalValue,
     SolutionFamily,
     case_split_solve,
     generic_poisson_structures,
@@ -60,6 +61,7 @@ __all__ = [
     "LinearSolution",
     "Multiplication",
     "Poly",
+    "RationalValue",
     "SolutionFamily",
     "Subspace",
     "Term",

@@ -562,12 +562,8 @@ def verify_entry(entry: CatalogEntry):
     if entry.pair is not None:
         check_tags(entry.pair, entry.second_tags, "the companion multiplication")
         check_tags([entry.mult, entry.pair], entry.pair_tags, "the pair")
-    for tag in entry.extras.get("dot_tags_modulo", ()):
-        verdict = check_identity(entry.mult, builtin(tag), modulo=constraints)
-        if not verdict.holds:
-            raise CatalogSelfTestFailed(
-                f"{entry.key}: tag {tag!r} fails modulo constraints"
-            )
+    check_tags(entry.mult, entry.extras.get("dot_tags_modulo", ()),
+               "the main multiplication modulo its constraints")
 
 
 def _verify_witnesses(entries: Dict[str, CatalogEntry]):

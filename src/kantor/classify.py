@@ -25,9 +25,9 @@ assignments or residual equations are returned without re-verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Element, Multiplication
 from .errors import LieCheckFailed, SymbolicEntries
@@ -36,15 +36,42 @@ from .linsolve import LinearSolution, solve_linear
 from .poly import Poly
 from .product import kantor_product, symbolic_vector
 
-RationalValue = Tuple[Poly, Poly]
+
+class RationalValue(NamedTuple):
+    """A solved unknown as num/den, polynomials in the free unknowns.
+
+    A named tuple, so ``num, den = value`` works; ``str(value)`` is the
+    form ``classify`` prints in text and ``--json``.
+    """
+
+    num: Poly
+    den: Poly = Poly.const(1)
+
+    def __str__(self) -> str:
+        return str(self.num) if self.den == 1 else f"({self.num})/({self.den})"
+
+    def substitute(self, name: str, num: Poly, den: Poly) -> "RationalValue":
+        """This value with ``name := num/den`` substituted in num and den."""
+        deg = max(
+            max(self.num.coeffs_in(name), default=0),
+            max(self.den.coeffs_in(name), default=0),
+        )
+        if deg == 0:
+            return self
+        new_num = _subst_rational(self.num, name, num, den, deg)
+        new_den = _subst_rational(self.den, name, num, den, deg)
+        if new_den.is_constant():
+            return RationalValue(new_num / new_den.constant_value())
+        return RationalValue(new_num, new_den)
 
 
 @dataclass(frozen=True)
 class SolutionFamily:
     """One branch of a classification.
 
-    ``assignment`` maps solved unknowns to (numerator, denominator) pairs
-    in the free unknowns; denominators other than 1 only appear when a
+    ``assignment`` maps solved unknowns to ``RationalValue(num, den)`` in
+    the free unknowns; plain ``(num, den)`` pairs are accepted and stored
+    as ``RationalValue``.  Denominators other than 1 only appear when a
     branch pivoted on a non-constant coefficient, and that coefficient is
     then recorded among the inequations.  ``equations`` holds residual
     constraints that were not resolved within the branching depth.
@@ -57,19 +84,18 @@ class SolutionFamily:
     inequations: Tuple[Poly, ...]
     label: str
 
+    def __post_init__(self):
+        values = {name: RationalValue(*value) for name, value in self.assignment.items()}
+        object.__setattr__(self, "assignment", values)
+
     def is_polynomial(self) -> bool:
         return all(den == 1 for _, den in self.assignment.values())
-
-    def polynomial_assignment(self) -> Dict[str, Poly]:
-        if not self.is_polynomial():
-            raise ValueError("family has rational-function assignments")
-        return {name: num for name, (num, den) in self.assignment.items()}
 
     def tensor(self, ansatz: Multiplication) -> Optional[Multiplication]:
         """The parameterized multiplication of this family, when polynomial."""
         if not self.is_polynomial():
             return None
-        return ansatz.substitute(self.polynomial_assignment())
+        return ansatz.substitute({name: num for name, (num, _) in self.assignment.items()})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Optional[Dict[str, Fraction]]:
         """Full unknown values at a rational point of the free parameters.
@@ -94,11 +120,8 @@ class SolutionFamily:
         return values
 
     def describe(self) -> str:
-        parts = []
-        for name in self.unknowns:
-            if name in self.assignment:
-                num, den = self.assignment[name]
-                parts.append(f"{name} = {num}" if den == 1 else f"{name} = ({num})/({den})")
+        parts = [f"{name} = {self.assignment[name]}" for name in self.unknowns
+                 if name in self.assignment]
         if self.free:
             parts.append("free: " + ", ".join(self.free))
         if self.equations:
@@ -127,23 +150,11 @@ def _subst_rational(p: Poly, name: str, num: Poly, den: Poly, degree: int | None
     return total
 
 
-def _subst_rational_pair(
-    value: RationalValue, name: str, num: Poly, den: Poly
-) -> RationalValue:
-    """A rational value with ``name := num/den`` substituted in num and den."""
-    vnum, vden = value
-    deg = max(
-        max(vnum.coeffs_in(name), default=0),
-        max(vden.coeffs_in(name), default=0),
-    )
-    if deg == 0:
-        return value
-    new_num = _subst_rational(vnum, name, num, den, deg)
-    new_den = _subst_rational(vden, name, num, den, deg)
-    if new_den.is_constant():
-        new_num = new_num / new_den.constant_value()
-        new_den = Poly.const(1)
-    return new_num, new_den
+def _back_substitute(value: RationalValue, assignment: Mapping[str, RationalValue]) -> RationalValue:
+    """``value`` with every solved unknown of ``assignment`` substituted, in order."""
+    for name, (num, den) in assignment.items():
+        value = value.substitute(name, num, den)
+    return value
 
 
 def _content_normalize(p: Poly) -> Poly:
@@ -248,20 +259,17 @@ def case_split_solve(
     families: List[SolutionFamily] = []
 
     def normalize(eqs: Sequence[Poly], ineqs: Sequence[Poly]):
-        out = []
-        seen = set()
+        out: Dict[Poly, None] = {}
         for q in eqs:
             q = _content_normalize(q)
             if q.is_zero():
                 continue
             if q.is_constant():
                 return None
-            if q not in seen:
-                seen.add(q)
-                out.append(q)
-        if not seen.isdisjoint(ineqs):
+            out.setdefault(q)
+        if not out.keys().isdisjoint(ineqs):
             return None
-        return out
+        return list(out)
 
     def add_inequations(ineqs, q):
         """Extend the hypothesis list with the factors of q; None if q is 0."""
@@ -274,7 +282,8 @@ def case_split_solve(
                 out.append(part)
         return out
 
-    def substitute_all(eqs, ineqs, name, num, den):
+    def substitute_all(eqs, ineqs, name, value: RationalValue):
+        num, den = value
         new_eqs = [_subst_rational(q, name, num, den) for q in eqs]
         new_ineqs: List[Poly] = []
         for q in ineqs:
@@ -292,9 +301,7 @@ def case_split_solve(
     def emit(assign_order, residual, ineqs, labels):
         final: Dict[str, RationalValue] = {}
         for name, value in reversed(assign_order):
-            for done, (dnum, dden) in final.items():
-                value = _subst_rational_pair(value, done, dnum, dden)
-            final[name] = value
+            final[name] = _back_substitute(value, final)
         assigned = set(final)
         free = tuple(n for n in unknowns if n not in assigned)
         families.append(
@@ -308,13 +315,13 @@ def case_split_solve(
             )
         )
 
-    def assign_and_descend(eqs, q, name, value, assign_order, ineqs, labels, depth):
+    def assign_and_descend(eqs, q, name, value: RationalValue, assign_order, ineqs, labels,
+                           depth):
         rest = [e for e in eqs if e is not q]
-        new_eqs, new_ineqs = substitute_all(rest, ineqs, name, value, Poly.const(1))
+        new_eqs, new_ineqs = substitute_all(rest, ineqs, name, value)
         if new_eqs is None:
             return
-        descend(new_eqs, assign_order + [(name, (value, Poly.const(1)))], new_ineqs,
-                labels, depth)
+        descend(new_eqs, assign_order + [(name, value)], new_ineqs, labels, depth)
 
     def descend(eqs, assign_order, ineqs, labels, depth):
         eqs = normalize(eqs, ineqs)
@@ -337,7 +344,7 @@ def case_split_solve(
                     continue
                 c, d = parts[1], parts.get(0, Poly.zero())
                 if c.is_constant():
-                    value = -d / c.constant_value()
+                    value = RationalValue(-d / c.constant_value())
                     assign_and_descend(eqs, q, name, value, assign_order, ineqs, labels, depth)
                     return
                 linear.append((len(c.terms), len(q.terms), name, q, c, d))
@@ -352,7 +359,7 @@ def case_split_solve(
                 continue
             for root in roots:
                 assign_and_descend(
-                    eqs, q, names[0], Poly.const(root), assign_order, ineqs,
+                    eqs, q, names[0], RationalValue(Poly.const(root)), assign_order, ineqs,
                     labels + [f"{names[0]} = {root}"], depth - 1,
                 )
             return
@@ -366,7 +373,7 @@ def case_split_solve(
             hypotheses = list(ineqs)
             for pos, name in enumerate(names):
                 assign_and_descend(
-                    eqs, q, name, Poly.zero(), assign_order, hypotheses,
+                    eqs, q, name, RationalValue(Poly.zero()), assign_order, hypotheses,
                     labels + [f"{name} = 0"], depth - 1,
                 )
                 if pos + 1 < len(names):
@@ -380,25 +387,13 @@ def case_split_solve(
         #    prefer the smallest coefficient.
         if depth > 0 and linear:
             _, _, name, q, c, d = min(linear, key=lambda item: item[:3])
-            rest = [e for e in eqs if e is not q]
             branch_ineqs = add_inequations(ineqs, c)
             if branch_ineqs is not None:
-                new_eqs, new_ineqs = substitute_all(rest, branch_ineqs, name, -d, c)
-                if new_eqs is not None:
-                    descend(
-                        new_eqs,
-                        assign_order + [(name, (-d, c))],
-                        new_ineqs,
-                        labels + [f"{c} != 0"],
-                        depth - 1,
-                    )
-            descend(
-                eqs + [c],
-                assign_order,
-                ineqs,
-                labels + [f"{c} = 0"],
-                depth - 1,
-            )
+                assign_and_descend(
+                    eqs, q, name, RationalValue(-d, c), assign_order, branch_ineqs,
+                    labels + [f"{c} != 0"], depth - 1,
+                )
+            descend(eqs + [c], assign_order, ineqs, labels + [f"{c} = 0"], depth - 1)
             return
 
         emit(assign_order, eqs, ineqs, labels + ["depth cap"])
@@ -409,37 +404,29 @@ def case_split_solve(
 
 # -- ansatz construction ------------------------------------------------------
 
-def antisymmetric_ansatz(dim: int) -> Tuple[Multiplication, Tuple[str, ...]]:
-    """Generic antisymmetric tensor with unknowns g<pair>_<k> (pairs i<j)."""
+def _ansatz(dim: int, sign: int) -> Tuple[Multiplication, Tuple[str, ...]]:
+    """Generic tensor with unknowns g<pair>_<k>; e_j*e_i = sign * e_i*e_j."""
     entries = {}
     names: List[str] = []
-    pair = 0
-    for i in range(1, dim + 1):
-        for j in range(i + 1, dim + 1):
-            pair += 1
-            for k in range(1, dim + 1):
-                name = f"g{pair}_{k}"
-                names.append(name)
-                entries[(i, j, k)] = Poly.var(name)
-                entries[(j, i, k)] = -Poly.var(name)
+    pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + (sign < 0), dim + 1)]
+    for pair, (i, j) in enumerate(pairs, 1):
+        for k in range(1, dim + 1):
+            name = f"g{pair}_{k}"
+            names.append(name)
+            entries[(i, j, k)] = Poly.var(name)
+            if i != j:
+                entries[(j, i, k)] = Poly.var(name) if sign > 0 else -Poly.var(name)
     return Multiplication.from_table(dim, entries), tuple(names)
+
+
+def antisymmetric_ansatz(dim: int) -> Tuple[Multiplication, Tuple[str, ...]]:
+    """Generic antisymmetric tensor with unknowns g<pair>_<k> (pairs i<j)."""
+    return _ansatz(dim, -1)
 
 
 def symmetric_ansatz(dim: int) -> Tuple[Multiplication, Tuple[str, ...]]:
     """Generic symmetric tensor with unknowns g<pair>_<k> (pairs i<=j)."""
-    entries = {}
-    names: List[str] = []
-    pair = 0
-    for i in range(1, dim + 1):
-        for j in range(i, dim + 1):
-            pair += 1
-            for k in range(1, dim + 1):
-                name = f"g{pair}_{k}"
-                names.append(name)
-                entries[(i, j, k)] = Poly.var(name)
-                if i != j:
-                    entries[(j, i, k)] = Poly.var(name)
-    return Multiplication.from_table(dim, entries), tuple(names)
+    return _ansatz(dim, 1)
 
 
 @dataclass(frozen=True)
@@ -514,22 +501,10 @@ def _merge_families(
 ) -> List[SolutionFamily]:
     merged = []
     for family in branch_families:
-        assignment: Dict[str, RationalValue] = dict(family.assignment)
+        assignment = dict(family.assignment)
         for pivot, affine in stage.solution.assignments.items():
-            value: RationalValue = (affine, Poly.const(1))
-            for name, (bnum, bden) in family.assignment.items():
-                value = _subst_rational_pair(value, name, bnum, bden)
-            assignment[pivot] = value
-        merged.append(
-            SolutionFamily(
-                unknowns=stage.unknowns,
-                assignment=assignment,
-                free=family.free,
-                equations=family.equations,
-                inequations=family.inequations,
-                label=family.label,
-            )
-        )
+            assignment[pivot] = _back_substitute(RationalValue(affine), family.assignment)
+        merged.append(replace(family, unknowns=stage.unknowns, assignment=assignment))
     return merged
 
 
@@ -581,7 +556,7 @@ def generic_poisson_structures(a) -> List[SolutionFamily]:
     stage = poisson_stage1(a)
     family = SolutionFamily(
         unknowns=stage.unknowns,
-        assignment={k: (v, Poly.const(1)) for k, v in stage.solution.assignments.items()},
+        assignment={k: RationalValue(v) for k, v in stage.solution.assignments.items()},
         free=stage.free,
         equations=(),
         inequations=(),

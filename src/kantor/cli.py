@@ -129,10 +129,7 @@ def _parse_graded(text: str) -> witt_mod.GradedElement:
 def _family_payload(family):
     payload = {
         "label": family.label,
-        "assignment": {
-            name: (str(num) if den == 1 else f"({num})/({den})")
-            for name, (num, den) in family.assignment.items()
-        },
+        "assignment": {name: str(value) for name, value in family.assignment.items()},
         "free": list(family.free),
         "equations": [str(q) for q in family.equations],
         "inequations": [str(q) for q in family.inequations],

@@ -105,10 +105,6 @@ def _ap(slot: int, left: Lin, right: Lin) -> Lin:
     ]
 
 
-def _v(term: Term) -> Lin:
-    return _one(term)
-
-
 def _mk(name: str, nvars: int, lin: Lin, nslots: int = 1) -> IdentitySpec:
     merged: Dict[Term, Fraction] = {}
     for coeff, term in lin:
@@ -144,7 +140,7 @@ def reslot(spec: IdentitySpec, nslots: int, mapping: Dict[int, int]) -> Identity
 
 
 def _build_registry() -> Dict[str, Tuple[IdentitySpec, ...]]:
-    x, y, z, t = _v(_X), _v(_Y), _v(_Z), _v(_T)
+    x, y, z, t = _one(_X), _one(_Y), _one(_Z), _one(_T)
     m = lambda a, b: _ap(0, a, b)
 
     commutative = _mk("commutative", 2, _sub(m(x, y), m(y, x)))
@@ -478,8 +474,7 @@ def check_identity(
         avoid |= g.names()
     cleared, denominators = _clear_denominators(mults)
 
-    obstructions: List[Poly] = []
-    seen = set()
+    obstructions: Dict[Poly, None] = {}
     for one in specs:
         if one.nslots != len(mults):
             raise SlotMismatch(
@@ -494,9 +489,8 @@ def check_identity(
                 if common != 1:
                     coeff = coeff / common
                 reduced = _monomial_ideal_reduce(coeff, gens)
-                if not reduced.is_zero() and reduced not in seen:
-                    seen.add(reduced)
-                    obstructions.append(reduced)
+                if not reduced.is_zero():
+                    obstructions.setdefault(reduced)
     return Verdict(not obstructions, tuple(obstructions))
 
 

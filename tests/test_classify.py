@@ -1,12 +1,18 @@
+import io
 import itertools
+import json
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
 
 from kantor.algebra import Element, Multiplication, multiply
 from kantor.catalog import load_catalog
+from kantor.cli import main
 from kantor.classify import (
+    RationalValue,
+    SolutionFamily,
     _univariate_roots,
     antisymmetric_ansatz,
     case_split_solve,
@@ -404,3 +410,64 @@ def test_postlie_heisenberg_brute_force():
         for values in sample_family_points(fam, rng, 20):
             product = ansatz.substitute({k: Poly.const(v) for k, v in values.items()})
             assert check_identity([product, heis], bundle).holds
+
+
+# -- rational values and the --json contract ----------------------------------
+
+def _family_from_payload(payload, unknowns):
+    """A family rebuilt from its ``--json`` strings with plain (num, den) tuples."""
+    def rational(text):
+        if text.startswith("("):
+            num, den = text[1:-1].split(")/(")
+            return parse_poly(num), parse_poly(den)
+        return parse_poly(text), Poly.const(1)
+
+    return SolutionFamily(
+        unknowns=unknowns,
+        assignment={name: rational(text) for name, text in payload["assignment"].items()},
+        free=tuple(payload["free"]),
+        equations=tuple(parse_poly(q) for q in payload["equations"]),
+        inequations=tuple(parse_poly(q) for q in payload["inequations"]),
+        label=payload["label"],
+    )
+
+
+@pytest.mark.parametrize("kind, key, classify", [
+    ("postlie", "heis3", postlie_structures),
+    ("generic-poisson", "qt4", generic_poisson_structures),
+])
+def test_json_families_round_trip_through_plain_tuples(kind, key, classify):
+    families = classify(load_catalog(selftest=False)[key].mult)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["classify", kind, f"catalog:{key}", "--json"]) == 0
+    payloads = json.loads(out.getvalue())
+    assert len(payloads) == len(families)
+    assert any(not f.is_polynomial() for f in families) == (kind == "postlie")
+    rng = random.Random(29)
+    for family, payload in zip(families, payloads):
+        assert all(isinstance(v, RationalValue) for v in family.assignment.values())
+        printed = [f"{name} = {payload['assignment'][name]}"
+                   for name in family.unknowns if name in family.assignment]
+        assert family.describe().split("; ")[:len(printed)] == printed
+        rebuilt = _family_from_payload(payload, family.unknowns)
+        evaluated = 0
+        for _ in range(20):
+            point = rand_point(rng, family.free)
+            expected = family.evaluate(point)
+            assert rebuilt.evaluate(point) == expected
+            evaluated += expected is not None
+        assert evaluated > 0
+
+
+def test_rational_value_prints_and_substitutes():
+    x, y = Poly.var("x"), Poly.var("y")
+    assert RationalValue(x) == (x, Poly.const(1)) and str(RationalValue(x)) == "x"
+    value = RationalValue(x * y, x + 1)
+    assert str(value) == "(x*y)/(1 + x)"
+    num, den = value.substitute("x", y, Poly.const(2))
+    assert (num, den) == (y * y, y + 2)
+    assert value.substitute("y", x, x) == (x * x, x * x + x)
+    assert value.substitute("z", x, y) is value
+    collapsed = value.substitute("x", Poly.const(1), Poly.const(2))
+    assert collapsed == (y / 3, Poly.const(1)) and str(collapsed) == str(y / 3)
