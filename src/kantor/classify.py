@@ -52,14 +52,13 @@ class RationalValue(NamedTuple):
 
     def substitute(self, name: str, num: Poly, den: Poly) -> "RationalValue":
         """This value with ``name := num/den`` substituted in num and den."""
-        deg = max(
-            max(self.num.coeffs_in(name), default=0),
-            max(self.den.coeffs_in(name), default=0),
-        )
+        num_parts = self.num.coeffs_in(name)
+        den_parts = self.den.coeffs_in(name)
+        deg = max(max(num_parts, default=0), max(den_parts, default=0))
         if deg == 0:
             return self
-        new_num = _subst_rational(self.num, name, num, den, deg)
-        new_den = _subst_rational(self.den, name, num, den, deg)
+        new_num = _subst_parts(num_parts, num, den, deg)
+        new_den = _subst_parts(den_parts, num, den, deg)
         if new_den.is_constant():
             return RationalValue(new_num / new_den.constant_value())
         return RationalValue(new_num, new_den)
@@ -133,45 +132,47 @@ class SolutionFamily:
 
 # -- polynomial helpers -------------------------------------------------------
 
-def _subst_rational(p: Poly, name: str, num: Poly, den: Poly, degree: int | None = None) -> Poly:
-    """den^degree * p with ``name := num/den`` (den assumed nonzero).
-
-    ``degree`` defaults to the degree of p in ``name``, which clears every
-    denominator; a larger one keeps a numerator/denominator pair aligned.
-    """
-    parts = p.coeffs_in(name)
-    if degree is None:
-        degree = max(parts, default=0)
-    if degree == 0:
-        return p
+def _subst_parts(parts: Mapping[int, Poly], num: Poly, den: Poly, degree: int) -> Poly:
+    """den^degree * sum_e parts[e] * (num/den)^e for a ``coeffs_in`` map (degree >= each e)."""
     total = Poly.zero()
     for e, coeff in parts.items():
         total = total + coeff * num ** e * den ** (degree - e)
     return total
 
 
+def _subst_rational(p: Poly, name: str, num: Poly, den: Poly) -> Poly:
+    """den^d * p with ``name := num/den``, d the degree of p in ``name`` (den nonzero)."""
+    parts = p.coeffs_in(name)
+    degree = max(parts, default=0)
+    return p if degree == 0 else _subst_parts(parts, num, den, degree)
+
+
 def _back_substitute(value: RationalValue, assignment: Mapping[str, RationalValue]) -> RationalValue:
-    """``value`` with every solved unknown of ``assignment`` substituted, in order."""
+    """``value`` with the solved unknowns of ``assignment`` it mentions substituted, in order.
+
+    Precondition: the values of ``assignment`` mention free unknowns only
+    (``emit`` builds them in reverse solve order; ``_merge_families`` passes
+    finished families), so no substitution brings in a solved name.
+    """
+    mentioned = value.num.names() | value.den.names()
     for name, (num, den) in assignment.items():
-        value = value.substitute(name, num, den)
+        if name in mentioned:
+            value = value.substitute(name, num, den)
     return value
 
 
 def _content_normalize(p: Poly) -> Poly:
-    """Divide by the rational content and fix the leading sign."""
+    """Divide by the rational content and fix the leading sign; p itself if already so."""
     if p.is_zero():
         return p
-    coeffs = list(p.terms.values())
+    coeffs = p.terms.values()
     num_gcd = math.gcd(*(abs(c.numerator) for c in coeffs))
     den_lcm = 1
     for c in coeffs:
         den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    scale = Fraction(den_lcm, num_gcd if num_gcd else 1)
-    q = p * scale
-    _, lead = min(q.monomials())
-    if lead < 0:
-        q = -q
-    return q
+    _, lead = min(p.monomials())
+    scale = Fraction(den_lcm if lead > 0 else -den_lcm, num_gcd)
+    return p if scale == 1 else p * scale
 
 
 def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -203,16 +204,6 @@ def _univariate_roots(p: Poly, name: str) -> Optional[List[Fraction]]:
 
 
 # -- the case-splitting solver ------------------------------------------------
-
-def _monomial_names(p: Poly) -> Optional[List[str]]:
-    """The variable names of a single-term polynomial, else None."""
-    if len(p.terms) != 1:
-        return None
-    (mono, _), = p.monomials()
-    if not mono:
-        return None
-    return [name for name, _ in mono]
-
 
 def _split_inequation(q: Poly) -> List[Poly]:
     """Factor the monomial content: m * p != 0 iff each variable of m and p != 0."""
@@ -254,6 +245,10 @@ def case_split_solve(
     eliminates, the other adds c = 0).  At the depth cap the remaining
     equations are reported as residuals, never dropped.  Branches whose
     hypotheses become contradictory are pruned.
+
+    Equations and hypotheses (inequations) are kept content-normalized, so
+    equal constraints compare equal: ``normalize`` runs on the equations at
+    each branch, and hypotheses enter only through ``add_inequations``.
     """
     unknowns = tuple(unknowns)
     families: List[SolutionFamily] = []
@@ -273,7 +268,6 @@ def case_split_solve(
 
     def add_inequations(ineqs, q):
         """Extend the hypothesis list with the factors of q; None if q is 0."""
-        q = _content_normalize(q)
         if q.is_zero():
             return None
         out = list(ineqs)
@@ -285,17 +279,11 @@ def case_split_solve(
     def substitute_all(eqs, ineqs, name, value: RationalValue):
         num, den = value
         new_eqs = [_subst_rational(q, name, num, den) for q in eqs]
-        new_ineqs: List[Poly] = []
+        new_ineqs: Optional[List[Poly]] = []
         for q in ineqs:
-            q2 = _content_normalize(_subst_rational(q, name, num, den))
-            if q2.is_zero():
+            new_ineqs = add_inequations(new_ineqs, _subst_rational(q, name, num, den))
+            if new_ineqs is None:
                 return None, None
-            if q2.is_constant():
-                continue
-            updated = add_inequations(new_ineqs, q2)
-            if updated is None:
-                return None, None
-            new_ineqs = updated
         return new_eqs, new_ineqs
 
     def emit(assign_order, residual, ineqs, labels):
@@ -365,11 +353,11 @@ def case_split_solve(
             return
 
         # 3. Monomial equations split into disjoint variable-vanishing branches.
+        #    Equations are normalized, so a single term is not a constant.
         for q in eqs:
-            mono_names = _monomial_names(q)
-            if mono_names is None:
+            if len(q.terms) != 1:
                 continue
-            names = sorted(set(mono_names))
+            names = sorted(q.names())
             hypotheses = list(ineqs)
             for pos, name in enumerate(names):
                 assign_and_descend(

@@ -66,7 +66,7 @@ def _load_ref(ref: str):
         entry = entries[key]
         slots = None if entry.pair is None else [entry.mult, entry.pair]
         if len(parts) > 2:
-            if parts[2] != "pair":
+            if parts[2:] != ["pair"]:
                 raise _CliFailure(PARSE_FAILURE, f"bad catalog reference {ref!r}")
             if entry.pair is None:
                 raise _CliFailure(PRECONDITION_FAILURE, f"{key} has no companion product")
@@ -80,6 +80,13 @@ def _load_ref(ref: str):
 
 
 _SYMBOLIC_U = ("sym", "symbolic")
+
+
+def _parse_fraction(text: str, where: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise _CliFailure(PARSE_FAILURE, f"bad rational in {where}") from None
 
 
 def _parse_u(spec: str | None, dim: int) -> Element | None:
@@ -98,10 +105,7 @@ def _parse_u(spec: str | None, dim: int) -> Element | None:
         pieces = [p.strip() for p in text[1:-1].split(",")]
         if len(pieces) != dim:
             raise _CliFailure(PARSE_FAILURE, f"u spec {spec!r} needs {dim} coordinates")
-        try:
-            return Element([Poly.const(Fraction(p)) for p in pieces])
-        except (ValueError, ZeroDivisionError):
-            raise _CliFailure(PARSE_FAILURE, f"bad rational in u spec {spec!r}") from None
+        return Element([Poly.const(_parse_fraction(p, f"u spec {spec!r}")) for p in pieces])
     raise _CliFailure(PARSE_FAILURE, f"cannot parse u spec {spec!r}")
 
 
@@ -117,7 +121,7 @@ def _parse_graded(text: str) -> witt_mod.GradedElement:
         m = term.match(text, pos)
         if not m:
             raise _CliFailure(PARSE_FAILURE, f"cannot parse graded element {text!r}")
-        coeff = Fraction(m.group("coef") or 1)
+        coeff = _parse_fraction(m.group("coef") or "1", f"graded element {text!r}")
         if m.group("sign") == "-":
             coeff = -coeff
         gen = witt_mod.L if m.group("kind") == "L" else witt_mod.I
@@ -237,7 +241,7 @@ def _cmd_un_table(args) -> int:
 
 
 def _cmd_witt(args) -> int:
-    cfg = witt_mod.WittConfig(a=Fraction(args.a), w=_parse_graded(args.w))
+    cfg = witt_mod.WittConfig(a=_parse_fraction(args.a, f"--a {args.a!r}"), w=_parse_graded(args.w))
     u = _parse_graded(args.u)
     if args.action == "demo":
         samples = [

@@ -431,6 +431,16 @@ def _monomial_ideal_reduce(p: Poly, gens: Sequence[Dict[str, int]]) -> Poly:
     return Poly(kept)
 
 
+def _slots(mults: Union[Multiplication, Sequence[Multiplication]]) -> List[Multiplication]:
+    """The multiplications as a list: at least one, all of one dimension."""
+    mults = [mults] if isinstance(mults, Multiplication) else list(mults)
+    if not mults:
+        raise SlotMismatch("no multiplications supplied")
+    if any(m.dim != mults[0].dim for m in mults):
+        raise DimMismatch("multiplications act on different dimensions")
+    return mults
+
+
 def _normalize_specs(spec: SpecOrBundle) -> Tuple[IdentitySpec, ...]:
     if isinstance(spec, IdentitySpec):
         return (spec,)
@@ -456,15 +466,9 @@ def check_identity(
     a single monomial of positive degree raises ``ValueError`` before
     anything is expanded.
     """
-    if isinstance(mults, Multiplication):
-        mults = [mults]
-    mults = list(mults)
+    mults = _slots(mults)
     specs = _normalize_specs(spec)
-    if not mults:
-        raise SlotMismatch("no multiplications supplied")
     dim = mults[0].dim
-    if any(m.dim != dim for m in mults):
-        raise DimMismatch("multiplications act on different dimensions")
     gens = _monomial_generators(modulo)
 
     avoid = set()
@@ -508,11 +512,7 @@ def check_ann_equality(
     per basis index), divided back by the common factor, must be rational
     and must lie in the span of ``ann``.
     """
-    if isinstance(mults, Multiplication):
-        mults = [mults]
-    mults = list(mults)
-    if not mults:
-        raise SlotMismatch("no multiplications supplied")
+    mults = _slots(mults)
     dim = mults[0].dim
     if ann.ambient != dim:
         raise DimMismatch("annihilator ambient dimension differs")

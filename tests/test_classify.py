@@ -13,6 +13,7 @@ from kantor.cli import main
 from kantor.classify import (
     RationalValue,
     SolutionFamily,
+    _content_normalize,
     _univariate_roots,
     antisymmetric_ansatz,
     case_split_solve,
@@ -471,3 +472,44 @@ def test_rational_value_prints_and_substitutes():
     assert value.substitute("z", x, y) is value
     collapsed = value.substitute("x", Poly.const(1), Poly.const(2))
     assert collapsed == (y / 3, Poly.const(1)) and str(collapsed) == str(y / 3)
+
+
+def assert_case_split_invariants(families):
+    """Values, residuals and hypotheses mention only the free unknowns (what
+    ``_back_substitute`` relies on); constraints are normalized and the
+    hypotheses of a family are distinct."""
+    for family in families:
+        free = set(family.free)
+        for num, den in family.assignment.values():
+            assert num.names() <= free and den.names() <= free
+        for q in family.equations + family.inequations:
+            assert q.names() <= free
+            assert _content_normalize(q) == q
+        assert len(set(family.inequations)) == len(family.inequations)
+
+
+@pytest.mark.parametrize("classify, key, max_depth", [
+    (postlie_structures, "heis3", 16),
+    (postlie_structures, "S2", 16),
+    (postlie_structures, "r2c", 16),
+    (postlie_structures, "zero2", 16),
+    (postlie_structures, "heis4", 4),
+    (poisson_structures, "J2", 16),
+    (poisson_structures, "qt4", 16),
+    (poisson_structures, "heis4", 16),
+    (poisson_structures, "lp3", 16),
+])
+def test_families_mention_free_unknowns_and_normalized_constraints(classify, key, max_depth):
+    families = classify(load_catalog(selftest=False)[key].mult, max_depth=max_depth)
+    assert families
+    assert_case_split_invariants(families)
+
+
+def test_case_split_hypotheses_are_normalized_distinct_factors():
+    # The catalog runs above only assume single unknowns nonzero; here the
+    # pivots -2*x*y - 2*x^2 and 12*x*y^2 - 12*x^3 carry content and share x.
+    x, y = Poly.var("x"), Poly.var("y")
+    system = [parse_poly("(-2*x^2 - 2*x*y)*(z + w) + 1"), parse_poly("(3*x - 3*y)*(z - w) + 1")]
+    families = case_split_solve(system, ["w", "x", "y", "z"], max_depth=2)
+    assert [f.inequations for f in families] == [(x, x + y, x * x - y * y), (x, x + y)]
+    assert_case_split_invariants(families)

@@ -222,6 +222,11 @@ def test_cli_un_table_golden():
         (("postlie", "catalog:heis3", "--json"), "classify_postlie_heis3.json"),
         (("postlie", "catalog:heis3"), "classify_postlie_heis3.txt"),
         (("poisson", "catalog:qt4", "--json"), "classify_poisson_qt4.json"),
+        (("postlie", "catalog:zero2", "--json"), "classify_postlie_zero2.json"),
+        (("postlie", "catalog:r2c", "--json"), "classify_postlie_r2c.json"),
+        (("poisson", "catalog:heis4", "--json"), "classify_poisson_heis4.json"),
+        (("postlie", "catalog:heis4", "--max-depth", "2", "--json"),
+         "classify_postlie_heis4_depth2.json"),
     ],
 )
 def test_cli_classify_golden(args, golden):
@@ -270,6 +275,22 @@ def test_cli_witt():
     assert "star(" in out and "curly(" in out
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("demo", "--a", "1/0"),
+        ("demo", "--a", "x"),
+        ("star", "--x", "1/0*L(1)"),
+        ("curly", "--u", "1/0*I(2)"),
+        ("demo", "--w", "3/0*L(2)"),
+    ],
+)
+def test_cli_witt_bad_rational(args):
+    code, out, err = run_cli("witt", *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: bad rational in ")
+
+
 def test_cli_catalog_commands():
     code, out, _ = run_cli("catalog", "list")
     assert code == 0
@@ -296,3 +317,6 @@ def test_cli_bad_references():
     assert code == 2
     code, _, err = run_cli("square", "catalog:T13", "--u", "u=(1,0)")
     assert code == 2
+    code, out, err = run_cli("square", "catalog:C8:pair:junk")
+    assert code == 2 and out == ""
+    assert err == "error: bad catalog reference 'catalog:C8:pair:junk'\n"

@@ -6,7 +6,7 @@ import pytest
 
 from kantor.algebra import Element, Multiplication, annihilator, apply_basis_change, multiply
 from kantor.catalog import load_catalog
-from kantor.errors import SlotMismatch, SymbolicCoefficient, UnknownIdentity
+from kantor.errors import DimMismatch, SlotMismatch, SymbolicCoefficient, UnknownIdentity
 from kantor.identities import (
     App,
     IdentitySpec,
@@ -242,6 +242,21 @@ def test_no_multiplications_is_a_slot_mismatch():
         check_identity([], builtin("jacobi"))
     with pytest.raises(SlotMismatch, match="no multiplications supplied"):
         check_ann_equality([], xy, xy, Subspace.zero(2))
+
+
+def test_multiplications_of_different_dimensions_are_a_dim_mismatch():
+    from kantor.algebra import Subspace
+
+    x, y = Var(0), Var(1)
+    # Two slots, only the first used: nothing multiplies across dimensions.
+    xy = IdentitySpec("xy", 2, 2, ((F(1), App(0, x, y)),))
+    m2 = Multiplication.from_table(2, {(1, 1, 1): 1})
+    m3 = Multiplication.from_table(3, {(1, 1, 1): 1})
+    with pytest.raises(DimMismatch, match="different dimensions"):
+        check_identity([m2, m3], xy)
+    for ann in (Subspace.zero(2), Subspace.zero(3)):
+        with pytest.raises(DimMismatch, match="different dimensions"):
+            check_ann_equality([m2, m3], xy, xy, ann)
 
 
 def test_jordan_locus_of_t02_square():
