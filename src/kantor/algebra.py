@@ -11,14 +11,16 @@ coordinate vector of polynomials over the same basis.
 Subspace computations (annihilator, nucleus, centralizer, derived series)
 work over the rationals only: callers substitute parameters first.  Doing
 exact linear algebra over a polynomial ring would need case analysis,
-which is the classifier's job, not this module's.
+which is the classifier's job, not this module's.  The annihilator,
+nucleus and centralizer are each the kernel of one linear map, evaluated
+with ``multiply`` on the basis vectors (``_kernel``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linsolve
 from .errors import DimMismatch, SymbolicEntries
@@ -279,7 +281,13 @@ def multiply(m: Multiplication, x: Element, y: Element) -> Element:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A rational subspace, stored with a canonical reduced basis."""
+    """A rational subspace, stored with a canonical reduced basis.
+
+    ``basis`` is in reduced row echelon form: each row leads with a 1 in
+    its pivot column, and every other row is 0 there.  ``from_vectors``,
+    ``zero`` and ``full`` build it so; ``contains`` relies on it, and
+    equality of subspaces is equality of these bases.
+    """
 
     ambient: int
     basis: Tuple[Tuple[Fraction, ...], ...]
@@ -287,9 +295,10 @@ class Subspace:
     @staticmethod
     def from_vectors(ambient: int, vectors: Sequence[Sequence[Fraction]]) -> "Subspace":
         rows = [list(map(Fraction, v)) for v in vectors]
-        reduced, pivots = linsolve.rref(rows) if rows else ([], [])
-        basis = tuple(tuple(row) for row in reduced[: len(pivots)])
-        return Subspace(ambient, basis)
+        if any(len(row) != ambient for row in rows):
+            raise DimMismatch(f"vectors must have {ambient} coordinates")
+        reduced, pivots = linsolve.rref(rows)
+        return Subspace(ambient, tuple(tuple(row) for row in reduced[: len(pivots)]))
 
     @staticmethod
     def zero(ambient: int) -> "Subspace":
@@ -297,14 +306,22 @@ class Subspace:
 
     @staticmethod
     def full(ambient: int) -> "Subspace":
-        return Subspace.from_vectors(ambient, linsolve.mat_identity(ambient))
+        return Subspace(ambient, tuple(map(tuple, linsolve.mat_identity(ambient))))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def contains(self, vector: Sequence[Fraction]) -> bool:
-        return linsolve.in_span([list(b) for b in self.basis], list(vector))
+        """Whether ``vector`` reduces to zero against the reduced basis."""
+        if len(vector) != self.ambient:
+            raise DimMismatch(f"vector must have {self.ambient} coordinates")
+        v = list(vector)
+        for row in self.basis:
+            factor = v[next(i for i, x in enumerate(row) if x)]
+            if factor:
+                v = [a - factor * b for a, b in zip(v, row)]
+        return not any(v)
 
     def basis_elements(self) -> Tuple[Element, ...]:
         return tuple(Element([Poly.const(x) for x in row]) for row in self.basis)
@@ -343,69 +360,45 @@ def _require_rational(m: Multiplication):
         raise SymbolicEntries("operation needs a parameter-free multiplication")
 
 
-def annihilator(m: Multiplication) -> Subspace:
-    """The space of v with ``v*e_j = e_j*v = 0`` for every basis vector."""
+def _kernel(m: Multiplication, image: Callable[[Element], List[Element]]) -> Subspace:
+    """The kernel of the linear map ``v -> image(v)``, evaluated once per basis vector."""
     _require_rational(m)
     n = m.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([m.entry(i, j, k).constant_value() for i in range(n)])
-            rows.append([m.entry(j, i, k).constant_value() for i in range(n)])
-    return Subspace.from_vectors(n, linsolve.nullspace(rows, n))
+    columns = [[c for w in image(Element.basis(n, i)) for c in w.rational_coords()] for i in range(n)]
+    return Subspace.from_vectors(n, linsolve.nullspace(list(zip(*columns)), n))
+
+
+def annihilator(m: Multiplication) -> Subspace:
+    """The space of v with ``v*e_j = e_j*v = 0`` for every basis vector."""
+    basis = [Element.basis(m.dim, j) for j in range(m.dim)]
+    return _kernel(m, lambda v: [w for e in basis for w in (multiply(m, v, e), multiply(m, e, v))])
 
 
 def centralizer(m: Multiplication, x: Element) -> Subspace:
     """The space ``{y : x*y = y*x = 0}`` for a rational element x."""
-    _require_rational(m)
-    xc = x.rational_coords()
-    n = m.dim
-    rows = []
-    for k in range(n):
-        rows.append(
-            [sum((xc[i] * m.entry(i, j, k).constant_value() for i in range(n)), Fraction(0)) for j in range(n)]
-        )
-        rows.append(
-            [sum((xc[i] * m.entry(j, i, k).constant_value() for i in range(n)), Fraction(0)) for j in range(n)]
-        )
-    return Subspace.from_vectors(n, linsolve.nullspace(rows, n))
+    if not x.is_rational():
+        raise SymbolicEntries("centralizer needs a rational element")
+    return _kernel(m, lambda y: [multiply(m, x, y), multiply(m, y, x)])
 
 
 def nucleus(m: Multiplication) -> Subspace:
     """Elements associating with all basis pairs in every slot."""
-    _require_rational(m)
-    n = m.dim
-    basis = [Element.basis(n, i) for i in range(n)]
-    rows = []
+    basis = [Element.basis(m.dim, i) for i in range(m.dim)]
 
     def associator(x, y, z) -> Element:
         return multiply(m, multiply(m, x, y), z) - multiply(m, x, multiply(m, y, z))
 
-    for a in range(n):
-        for b in range(n):
-            for position in range(3):
-                for k in range(n):
-                    row = []
-                    for i in range(n):
-                        args = [basis[a], basis[b]]
-                        args.insert(position, basis[i])
-                        row.append(associator(*args).coords[k].constant_value())
-                    rows.append(row)
-    return Subspace.from_vectors(n, linsolve.nullspace(rows, n))
+    return _kernel(m, lambda v: [
+        associator(*args) for a in basis for b in basis for args in ((v, a, b), (a, v, b), (a, b, v))
+    ])
 
 
 def _product_space(m: Multiplication, left: Subspace, right: Subspace) -> Subspace:
     vectors = []
     for u in left.basis_elements():
         for v in right.basis_elements():
-            w = multiply(m, u, v)
-            vectors.append([c.constant_value() for c in w.coords])
+            vectors.append(multiply(m, u, v).rational_coords())
     return Subspace.from_vectors(m.dim, vectors)
-
-
-def _sum_spaces(ambient: int, spaces: Sequence[Subspace]) -> Subspace:
-    vectors = [list(v) for s in spaces for v in s.basis]
-    return Subspace.from_vectors(ambient, vectors)
 
 
 def derived_indices(m: Multiplication) -> Tuple[Optional[int], Optional[int]]:
@@ -436,7 +429,7 @@ def derived_indices(m: Multiplication) -> Tuple[Optional[int], Optional[int]]:
     while True:
         k += 1
         pieces = [_product_space(m, powers[p], powers[k - p]) for p in range(1, k)]
-        space = _sum_spaces(n, pieces)
+        space = Subspace.from_vectors(n, [v for piece in pieces for v in piece.basis])
         if space.dim == 0:
             nilpotency = k
             break

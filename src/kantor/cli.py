@@ -193,6 +193,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    if args.max_depth < 0:
+        raise _CliFailure(PARSE_FAILURE, f"--max-depth must be non-negative, got {args.max_depth}")
     mult, algebra, _ = _load_ref(args.source)
     labels = algebra.labels
     if args.kind == "poisson":

@@ -621,7 +621,7 @@ def probe_cb_cl(m: Multiplication, probes: Sequence[Element]) -> ProbeReport:
         for v in space.basis_elements():
             for z in range(n):
                 for tag, w in (("left", multiply(m, basis[z], v)), ("right", multiply(m, v, basis[z]))):
-                    if not space.contains([c.constant_value() for c in w.coords]):
+                    if not space.contains(w.rational_coords()):
                         failures.append(f"{tag}:e{z + 1}")
         cl.append(CLResult(i, space.dim, not failures, tuple(sorted(set(failures)))))
     return ProbeReport(tuple(cb), tuple(cl))

@@ -61,8 +61,6 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> List[Vector]:
     """A basis of the right kernel of the matrix (``ncols`` unknowns)."""
-    if not rows:
-        return [[Fraction(int(i == j)) for j in range(ncols)] for i in range(ncols)]
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
@@ -113,13 +111,6 @@ def mat_vec_poly(a: Sequence[Sequence[Fraction]], v: Sequence[Poly]) -> List[Pol
     return out
 
 
-def in_span(basis: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> bool:
-    """Whether ``v`` lies in the row span of ``basis``."""
-    rows = [list(map(Fraction, b)) for b in basis]
-    base_rank = rank(rows)
-    return rank(rows + [list(map(Fraction, v))]) == base_rank
-
-
 @dataclass(frozen=True)
 class LinearSolution:
     """Affine solution space of a linear system.
@@ -164,7 +155,7 @@ def solve_linear(system: Sequence[Poly], unknowns: Sequence[str]) -> LinearSolut
             row[index[name]] += coeff
         rows.append(row)
 
-    reduced, pivots = rref(rows) if rows else ([], [])
+    reduced, pivots = rref(rows)
     ncols = len(unknowns)
     if ncols in pivots:
         raise InconsistentSystem("system has no solution")

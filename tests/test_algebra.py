@@ -259,3 +259,125 @@ def test_subspace_canonical_equality():
     assert s1 == s2
     assert s1.contains([F(5), F(-2), F(0)])
     assert not s1.contains([F(0), F(0), F(1)])
+
+
+# -- structure tools against references read off the entries ----------------
+
+def sparse_rational_tables():
+    """Seeded sparse rational tables of dimension 2-4, a few entries each."""
+    rng = random.Random(23)
+    tables = []
+    for _ in range(36):
+        dim = rng.randint(2, 4)
+        entries = {}
+        for _ in range(rng.randint(1, dim + 2)):
+            key = tuple(rng.randint(1, dim) for _ in range(3))
+            entries[key] = F(rng.choice([-2, -1, 1, 1, 3]), rng.randint(1, 3))
+        tables.append(Multiplication.from_table(dim, entries))
+    return tables
+
+
+def kernel_of(rows, n):
+    from kantor.linsolve import nullspace
+
+    return Subspace.from_vectors(n, nullspace(rows, n))
+
+
+def entry(m, i, j, k):
+    return m.entry(i, j, k).constant_value()
+
+
+def reference_annihilator(m):
+    n = m.dim
+    rows = []
+    for j in range(n):
+        for k in range(n):
+            rows.append([entry(m, i, j, k) for i in range(n)])  # (v*e_j)_k
+            rows.append([entry(m, j, i, k) for i in range(n)])  # (e_j*v)_k
+    return kernel_of(rows, n)
+
+
+def reference_centralizer(m, x):
+    n = m.dim
+    rows = []
+    for k in range(n):
+        rows.append([sum((x[i] * entry(m, i, j, k) for i in range(n)), F(0)) for j in range(n)])
+        rows.append([sum((x[i] * entry(m, j, i, k) for i in range(n)), F(0)) for j in range(n)])
+    return kernel_of(rows, n)
+
+
+def reference_nucleus(m):
+    n = m.dim
+    r = range(n)
+    # assoc[x][y][z][k]: coefficient of e_k in (e_x e_y) e_z - e_x (e_y e_z)
+    assoc = [[[[sum((entry(m, x, y, p) * entry(m, p, z, k) - entry(m, y, z, p) * entry(m, x, p, k)
+                     for p in r), F(0))
+                for k in r] for z in r] for y in r] for x in r]
+    rows = []
+    for a in r:
+        for b in r:
+            for k in r:
+                rows.append([assoc[i][a][b][k] for i in r])
+                rows.append([assoc[a][i][b][k] for i in r])
+                rows.append([assoc[a][b][i][k] for i in r])
+    return kernel_of(rows, n)
+
+
+def test_structure_tools_match_references_from_the_entries():
+    rng = random.Random(29)
+    nonzero = {"annihilator": 0, "centralizer": 0, "nucleus": 0}
+    proper = {"annihilator": 0, "centralizer": 0, "nucleus": 0}
+    for m in sparse_rational_tables():
+        n = m.dim
+        ann = reference_annihilator(m)
+        probes = [[F(0)] * n, [F(int(i == 0)) for i in range(n)],
+                  [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]]
+        probes += [list(v) for v in ann.basis[:1]]
+        pairs = [("annihilator", annihilator(m), ann), ("nucleus", nucleus(m), reference_nucleus(m))]
+        pairs += [("centralizer", centralizer(m, Element([Poly.const(a) for a in x])),
+                   reference_centralizer(m, x)) for x in probes]
+        for name, got, want in pairs:
+            assert got == want, (name, m.table())
+            nonzero[name] += got.dim > 0
+            proper[name] += 0 < got.dim < n
+    # the tables exercise nonzero and proper kernels of every tool
+    assert all(count > 0 for count in nonzero.values()), nonzero
+    assert all(count > 0 for count in proper.values()), proper
+
+
+def test_subspace_contains_matches_the_rank_test():
+    rng = random.Random(31)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        vectors = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+                   for _ in range(rng.randint(0, n))]
+        if vectors and rng.random() < 0.5:
+            # a dependent generator, so the stored basis is shorter than the input
+            vectors.append([a + 2 * b for a, b in zip(vectors[0], vectors[-1])])
+        space = Subspace.from_vectors(n, vectors)
+        candidates = [[F(rng.randint(-2, 2)) for _ in range(n)]]
+        if vectors:
+            lam = F(rng.randint(-3, 3), rng.randint(1, 3))
+            candidates.append([lam * a - b for a, b in zip(vectors[0], vectors[-1])])
+        for v in candidates:
+            assert space.contains(v) == (rank(vectors + [v]) == rank(vectors)), (vectors, v)
+
+
+def test_subspace_full_and_order():
+    for n in range(0, 5):
+        full = Subspace.full(n)
+        assert full == Subspace.from_vectors(n, mat_identity(n))
+        assert full.dim == n and Subspace.zero(n) <= full
+        assert not n or not full <= Subspace.zero(n)
+
+
+def test_subspace_dimension_mismatches():
+    with pytest.raises(DimMismatch):
+        Subspace.from_vectors(3, [[F(1)]])
+    space = Subspace.from_vectors(3, [[F(1), F(0), F(0)]])
+    for vector in ([F(0), F(0), F(0), F(5)], [F(1), F(0)]):
+        with pytest.raises(DimMismatch):
+            space.contains(vector)
+    heis = load_catalog(selftest=False)["heis3"].mult
+    with pytest.raises(DimMismatch):
+        centralizer(heis, Element([Poly.const(1)] * 4))

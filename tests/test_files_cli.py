@@ -257,6 +257,9 @@ def test_cli_classify_determinism_and_depth_flag():
     code, out, _ = run_cli("classify", "postlie", "catalog:S2", "--json", "--max-depth", "2")
     assert code == 0
     assert json.loads(out) == json.loads(first)
+    code, out, err = run_cli("classify", "postlie", "catalog:heis3", "--max-depth", "-1")
+    assert code == 2 and out == ""
+    assert err == "error: --max-depth must be non-negative, got -1\n"
 
 
 def test_cli_witt():

@@ -3,9 +3,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from kantor.algebra import Subspace
 from kantor.errors import InconsistentSystem, NonlinearInput, SingularMatrix
 from kantor.linsolve import (
-    in_span,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -47,9 +47,9 @@ def test_inverse_round_trip():
 
 
 def test_in_span():
-    basis = [[F(1), F(0), F(1)], [F(0), F(1), F(0)]]
-    assert in_span(basis, [F(2), F(3), F(2)])
-    assert not in_span(basis, [F(1), F(0), F(0)])
+    span = Subspace.from_vectors(3, [[F(1), F(0), F(1)], [F(0), F(1), F(0)]])
+    assert span.contains([F(2), F(3), F(2)])
+    assert not span.contains([F(1), F(0), F(0)])
 
 
 def test_solve_linear_forced_values():
