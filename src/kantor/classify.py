@@ -1,7 +1,7 @@
 """Classification of Poisson and commutative post-Lie structures.
 
 The pipeline is the constructive two-stage method: an exact linear stage
-expressed through Kantor products with a symbolic reference vector,
+expressed through Kantor products that vanish for all reference vectors,
 followed by a quadratic stage solved by branching triangular
 decomposition (``case_split_solve``).
 
@@ -12,9 +12,11 @@ exactly the identity  x.[y,z] = [x.y, z] + [y, x.z].  For Poisson-type
 structures both mixed Kantor products are required to vanish for all u:
 [[l, a]] = 0 is the Leibniz rule, and [[a, l]] = 0 is the companion
 condition that multiplication operators act as derivations of the
-bracket; the worked two-dimensional classification pins both.  The
-fixed-reference variant of stage 1 (a weaker, tabulated filter) is also
-available for comparison via the ``fixed_u`` argument.
+bracket; the worked two-dimensional classification pins both.  Both
+products are linear in u, so "for all u" is imposed at the n basis
+vectors e_1..e_n.  The fixed-reference variant of stage 1 (a weaker,
+tabulated filter) is also available for comparison via the ``fixed_u``
+argument.
 
 Every returned family whose assignment is polynomial and which has no
 residual equations is re-verified against the defining identities of the
@@ -34,7 +36,7 @@ from .errors import LieCheckFailed, SymbolicEntries
 from .identities import builtin, check_identity, reslot
 from .linsolve import LinearSolution, solve_linear
 from .poly import Poly
-from .product import kantor_product, symbolic_vector
+from .product import kantor_product
 
 
 class RationalValue(NamedTuple):
@@ -439,32 +441,19 @@ def _mult_of(a) -> Multiplication:
 
 
 def _linear_equations(
-    base: Multiplication,
-    ansatz: Multiplication,
-    unknowns: Sequence[str],
-    sides: Sequence[str],
-    fixed_u: Element | None,
+    base: Multiplication, ansatz: Multiplication, sides: Sequence[str], fixed_u: Element | None
 ) -> List[Poly]:
+    us = [Element.basis(base.dim, i) for i in range(base.dim)] if fixed_u is None else [fixed_u]
     eqs: List[Poly] = []
-    if fixed_u is None:
-        u = symbolic_vector(base.dim, base.names() | set(unknowns))
-        u_names = u.names()
-    else:
-        u = fixed_u
-        u_names = set()
     for side in sides:
-        pair = (ansatz, base) if side == "ansatz_first" else (base, ansatz)
-        product = kantor_product(pair[0], pair[1], u)
-        for entry in product.entries.values():
-            if u_names:
-                eqs.extend(entry.split_by(u_names).values())
-            else:
-                eqs.append(entry)
+        first, second = (ansatz, base) if side == "ansatz_first" else (base, ansatz)
+        for u in us:
+            eqs.extend(kantor_product(first, second, u).entries.values())
     return eqs
 
 
 def _stage1(base, ansatz, unknowns, sides, fixed_u) -> LinearStage:
-    eqs = _linear_equations(base, ansatz, unknowns, sides, fixed_u)
+    eqs = _linear_equations(base, ansatz, sides, fixed_u)
     solution = solve_linear(eqs, unknowns)
     tensor = ansatz.substitute(solution.assignments)
     return LinearStage(tuple(unknowns), solution, ansatz, tensor)

@@ -15,8 +15,7 @@ from typing import Sequence, Tuple
 from .algebra import Element, Multiplication, multiply
 from .errors import DimMismatch, NotCommutativeAssociative, NotDerivation
 from .identities import builtin, check_identity
-from .linsolve import mat_vec_poly
-from .product import kantor_product, symbolic_vector
+from .product import act, kantor_product, symbolic_vector
 
 
 def sum_product(dot: Multiplication, bracket: Multiplication) -> Multiplication:
@@ -44,17 +43,12 @@ def bracket_from_derivation(
         )
 
     basis = [Element.basis(n, i) for i in range(n)]
-    d_of = [Element(mat_vec_poly(derivation, list(e.coords))) for e in basis]
-
-    def apply_d(x: Element) -> Element:
-        return Element(mat_vec_poly(derivation, list(x.coords)))
-
-    for i in range(n):
-        for j in range(n):
-            lhs = apply_d(multiply(dot, basis[i], basis[j]))
-            rhs = multiply(dot, d_of[i], basis[j]) + multiply(dot, basis[i], d_of[j])
-            if lhs != rhs:
-                raise NotDerivation(f"fails the derivation law on (e{i + 1}, e{j + 1})")
+    # d_of[i] = D(e_i), column i of D: the rows of D in row convention.
+    d_of = [Element([row[i] for row in derivation]) for i in range(n)]
+    failures = act([d.coords for d in d_of], dot).entries
+    if failures:
+        i, j, _ = next(iter(failures))
+        raise NotDerivation(f"fails the derivation law on (e{i + 1}, e{j + 1})")
 
     tensor = []
     for i in range(n):

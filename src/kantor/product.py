@@ -17,9 +17,11 @@ left product is the action of L on the tensor of B:
 
     [[A, B]]_ij^k = sum_m B_ij^m L_mk - sum_m L_im B_mj^k - sum_m L_jm B_im^k.
 
-``kantor_product`` builds L with n calls of ``multiply`` and then walks the
-nonzero entries B_ij^m once, so each nonzero entry of B costs a few
-polynomial products.
+``left_operator`` builds L with n calls of ``multiply``, and ``act`` walks
+the nonzero entries B_ij^m once, so each costs a few polynomial products;
+``kantor_product`` is ``act(left_operator(A, u), B)``, and a caller pairing
+one A with many B builds L once.  In this row convention a matrix D is a
+derivation of B iff ``act(D, B)`` is zero.
 
 When no u is supplied, a symbolic vector with fresh coordinates (u1, ...,
 un by default) is used, so the resulting tensor stays linear in the
@@ -27,6 +29,8 @@ u-coordinates.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence, Tuple
 
 from .algebra import Element, Multiplication, _from_entries, multiply
 from .errors import DimMismatch
@@ -50,13 +54,15 @@ def _resolve_u(a: Multiplication, b: Multiplication, u: Element | None) -> Eleme
     return u
 
 
-def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = None) -> Multiplication:
-    """The left Kantor product [[a, b]] with respect to u (symbolic if omitted)."""
-    if a.dim != b.dim:
-        raise DimMismatch("multiplications act on different dimensions")
-    u = _resolve_u(a, b, u)
+def left_operator(a: Multiplication, u: Element) -> List[Tuple[Poly, ...]]:
+    """The rows of L, the matrix of x -> a(u, x): row i holds a(u, e_i)."""
     n = a.dim
-    lu = [multiply(a, u, Element.basis(n, i)).coords for i in range(n)]
+    return [multiply(a, u, Element.basis(n, i)).coords for i in range(n)]
+
+
+def act(lu: Sequence[Sequence[Poly]], b: Multiplication) -> Multiplication:
+    """The tensor (x, y) -> L(b(x, y)) - b(Lx, y) - b(x, Ly), for L with rows ``lu``."""
+    n = b.dim
     # rows[m]: the nonzero (k, L_mk); cols[i]: the nonzero (i', L_i'i).
     rows = [[(k, c) for k, c in enumerate(lu[m]) if not c.is_zero()] for m in range(n)]
     cols = [[(r, lu[r][i]) for r in range(n) if not lu[r][i].is_zero()] for i in range(n)]
@@ -75,6 +81,13 @@ def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = Non
             key = (i, r, m)
             out[key] = get(key, zero) + neg * c
     return _from_entries(n, out)
+
+
+def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = None) -> Multiplication:
+    """The left Kantor product [[a, b]] with respect to u (symbolic if omitted)."""
+    if a.dim != b.dim:
+        raise DimMismatch("multiplications act on different dimensions")
+    return act(left_operator(a, _resolve_u(a, b, u)), b)
 
 
 def kantor_square(a: Multiplication, u: Element | None = None) -> Multiplication:

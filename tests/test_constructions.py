@@ -33,14 +33,14 @@ def test_bracket_from_derivation_rejections():
     cat = load_catalog(selftest=False)
     qt4 = cat["qt4"].mult
     identity = [[F(int(i == j)) for j in range(4)] for i in range(4)]
-    with pytest.raises(NotDerivation):
+    with pytest.raises(NotDerivation, match=r"fails the derivation law on \(e1, e1\)$"):
         bracket_from_derivation(qt4, identity)
 
     # the naive shift matrix does not preserve the truncation ideal
     shift = [[F(0)] * 4 for _ in range(4)]
     for k in range(1, 4):
         shift[k - 1][k] = F(k)
-    with pytest.raises(NotDerivation):
+    with pytest.raises(NotDerivation, match=r"fails the derivation law on \(e2, e4\)$"):
         bracket_from_derivation(qt4, shift)
 
     # non commutative-associative products are rejected up front

@@ -216,6 +216,12 @@ def test_cli_un_table_golden():
     assert out == (GOLDEN / "un2.txt").read_text()
 
 
+def test_cli_un_table_symbolic_u_golden():
+    code, out, _ = run_cli("un-table", "--dim", "2", "--u", "sym")
+    assert code == 0
+    assert out == (GOLDEN / "un2_sym.txt").read_text()
+
+
 @pytest.mark.parametrize(
     "args, golden",
     [

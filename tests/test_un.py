@@ -6,7 +6,7 @@ import pytest
 from kantor.algebra import Element, multiply
 from kantor.errors import DimMismatch, IndexOutOfRange
 from kantor.poly import Poly
-from kantor.product import kantor_product
+from kantor.product import kantor_product, symbolic_vector
 from kantor.un import UnElement, basis_indices, elementary, render_un_table, un_bracket, un_table
 
 
@@ -114,8 +114,9 @@ def test_un_table_agrees_with_un_bracket():
     rng = random.Random(7)
     n = 2
     u = Element([Poly.const(F(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(n)])
-    for first, second, value in un_table(n, u):
-        assert value == un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n), u)
+    for v in (u, symbolic_vector(n)):
+        for first, second, value in un_table(n, v):
+            assert value == un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n), v)
     assert un_table(n) == [
         (first, second, un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n)))
         for first in basis_indices(n) for second in basis_indices(n)
