@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linsolve
 from .errors import DimMismatch, SymbolicEntries
-from .poly import Poly, parse_poly
+from .poly import Poly, parse_poly, sum_of_products
 
 _ZERO = Poly.zero()
 
@@ -261,13 +261,13 @@ def _from_entries(dim: int, entries: Dict[Tuple[int, int, int], Poly]) -> Multip
 def multiply(m: Multiplication, x: Element, y: Element) -> Element:
     """Evaluate the product: ``(x*y)_k = sum_ij x_i y_j c[i][j][k]``.
 
-    The entries of one ``e_i * e_j`` are adjacent, so ``x_i * y_j`` is
-    computed once per product that has an entry.
+    Each coordinate is one ``sum_of_products`` call.  The entries of one
+    ``e_i * e_j`` are adjacent, so each ``x_i * y_j`` is computed once.
     """
     if not (m.dim == x.dim == y.dim):
         raise DimMismatch("dimensions of multiplication and elements differ")
     xs, ys = x.coords, y.coords
-    coords = [_ZERO] * m.dim
+    pairs = [[] for _ in range(m.dim)]
     pair = factor = None
     for (i, j, k), value in m.entries.items():
         if (i, j) != pair:
@@ -275,8 +275,8 @@ def multiply(m: Multiplication, x: Element, y: Element) -> Element:
             xi, yj = xs[i], ys[j]
             factor = None if xi.is_zero() or yj.is_zero() else xi * yj
         if factor is not None:
-            coords[k] = coords[k] + factor * value
-    return Element(coords)
+            pairs[k].append((factor, value))
+    return Element([sum_of_products(p) if p else _ZERO for p in pairs])
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .algebra import Algebra, Element, Multiplication
 from .errors import LieCheckFailed, SymbolicEntries
 from .identities import builtin, check_identity, reslot
 from .linsolve import LinearSolution, solve_linear
-from .poly import Poly
+from .poly import Poly, sum_of_products
 from .product import kantor_product
 
 
@@ -136,10 +136,7 @@ class SolutionFamily:
 
 def _subst_parts(parts: Mapping[int, Poly], num: Poly, den: Poly, degree: int) -> Poly:
     """den^degree * sum_e parts[e] * (num/den)^e for a ``coeffs_in`` map (degree >= each e)."""
-    total = Poly.zero()
-    for e, coeff in parts.items():
-        total = total + coeff * num ** e * den ** (degree - e)
-    return total
+    return sum_of_products((coeff * num ** e, den ** (degree - e)) for e, coeff in parts.items())
 
 
 def _subst_rational(p: Poly, name: str, num: Poly, den: Poly) -> Poly:

@@ -458,13 +458,13 @@ def check_identity(
     that fail to vanish: polynomials in whatever parameters remain in the
     structure constants.  The expansion runs over integers: each slot's
     tensor is scaled once by the lcm D_s of its coefficient denominators,
-    each term is weighted by the powers of D_s it lacks, and every
-    coefficient is divided back by the common factor prod_s D_s^top_s, so
-    the obstructions are exactly those of the plain rational expansion.
-    ``modulo`` then reduces them by a monomial ideal (used for tables
-    carrying side constraints such as ``ab = 0``); a generator that is not
-    a single monomial of positive degree raises ``ValueError`` before
-    anything is expanded.
+    each term is weighted by the powers of D_s it lacks, and the
+    coefficients are reduced by the monomial ideal of ``modulo`` (used for
+    tables with side constraints such as ``ab = 0``).  Reducing commutes
+    with scaling, so each distinct one is divided back once by the common
+    factor prod_s D_s^top_s: the obstructions are exactly those of the
+    plain rational expansion.  A generator that is not a single monomial
+    of positive degree raises ``ValueError`` before anything is expanded.
     """
     mults = _slots(mults)
     specs = _normalize_specs(spec)
@@ -488,13 +488,13 @@ def check_identity(
         generic = set(n for group in names for n in group)
         elements = [Element([Poly.var(n) for n in group]) for group in names]
         result, common = _expand_cleared(one.terms, cleared, denominators, elements)
+        reduced: Dict[Poly, None] = {}
         for coordinate in result.coords:
-            for _, coeff in coordinate.split_by(generic).items():
-                if common != 1:
-                    coeff = coeff / common
-                reduced = _monomial_ideal_reduce(coeff, gens)
-                if not reduced.is_zero():
-                    obstructions.setdefault(reduced)
+            for coeff in coordinate.split_by(generic).values():
+                reduced.setdefault(_monomial_ideal_reduce(coeff, gens))
+        for coeff in reduced:
+            if not coeff.is_zero():
+                obstructions.setdefault(coeff if common == 1 else coeff / common)
     return Verdict(not obstructions, tuple(obstructions))
 
 

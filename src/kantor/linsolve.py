@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InconsistentSystem, NonlinearInput, SingularMatrix
-from .poly import Poly
+from .poly import Poly, sum_of_products
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -101,14 +101,10 @@ def mat_inverse(a: Sequence[Sequence[Fraction]]) -> Matrix:
 
 def mat_vec_poly(a: Sequence[Sequence[Fraction]], v: Sequence[Poly]) -> List[Poly]:
     """Rational matrix applied to a vector of polynomials."""
-    out = []
-    for row in a:
-        acc = Poly.zero()
-        for coeff, entry in zip(row, v):
-            if coeff:
-                acc = acc + entry * coeff
-        out.append(acc)
-    return out
+    return [
+        sum_of_products((entry, Poly.const(coeff)) for coeff, entry in zip(row, v) if coeff)
+        for row in a
+    ]
 
 
 @dataclass(frozen=True)

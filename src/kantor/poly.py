@@ -33,6 +33,13 @@ iff the two term maps agree.  That canonical-form property is what the
 identity checker and the classifiers rely on, so no floating point appears
 anywhere.
 
+Every product goes through one kernel, ``sum_of_products(pairs)``, which
+adds the term products of all ``(a, b)`` pairs into one term map, checks
+the guard bits once and normalizes once; ``a * b`` is its one-pair case.
+A term that cancels by the end of a pair leaves the map, so terms are
+stored in the order of the running sum ``acc + a * b``, which the group
+order of ``split_by``, and so the order of identity obstructions, follows.
+
 Printing uses a graded lexicographic term order (total degree first, then
 the name/exponent sequence), giving deterministic strings such as
 ``-1/2*u1 + u3^2``.  ``parse_poly`` reads the same syntax back.
@@ -288,23 +295,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms or not other.terms:
-            return _ZERO
-        out: Dict[int, Scalar] = {}
-        get = out.get
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = m1 + m2
-                prev = get(mono)
-                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
-        # Fields below 2**31 sum below 2**32, so a field that overflowed
-        # shows its guard bit and nothing has carried into the next one.
-        if functools.reduce(operator.or_, out) & _GUARD:
-            raise _overflow()
-        return _from_normalized({
-            mono: coeff if type(coeff) is int or coeff.denominator != 1 else coeff.numerator
-            for mono, coeff in out.items() if coeff
-        })
+        return sum_of_products(((self, other),)) if self.terms and other.terms else _ZERO
 
     __rmul__ = __mul__
 
@@ -353,20 +344,16 @@ class Poly:
         if not bindings:
             return self
         resolved = {name: _coerce_strict(value) for name, value in bindings.items()}
-        total = _ZERO
+        pairs = []
         for key, coeff in self.terms.items():
-            free = key
-            powers = []
+            free, rest = key, _from_normalized({0: 1})
             for name, e in _decode(key):
                 value = resolved.get(name)
                 if value is not None:
                     free -= e << _SHIFT[name]
-                    powers.append(value ** e)
-            factor = _from_normalized({free: coeff})
-            for power in powers:
-                factor = factor * power
-            total = total + factor
-        return total
+                    rest = rest * value ** e
+            pairs.append((_from_normalized({free: coeff}), rest))
+        return sum_of_products(pairs)
 
     # -- printing ----------------------------------------------------------
 
@@ -402,6 +389,36 @@ def _from_normalized(terms: Dict[int, Scalar]) -> Poly:
     p = object.__new__(Poly)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+def sum_of_products(pairs) -> Poly:
+    """The sum of ``a * b`` over an iterable of ``(Poly, Poly)`` pairs, built in one term map."""
+    out: Dict[int, Scalar] = {}
+    get = out.get
+    zeros: List[int] = []
+    dropped = 0
+    for a, b in pairs:
+        for m1, c1 in a.terms.items():
+            for m2, c2 in b.terms.items():
+                mono = m1 + m2
+                prev = get(mono)
+                out[mono] = coeff = c1 * c2 if prev is None else prev + c1 * c2
+                if not coeff:
+                    zeros.append(mono)
+        # What cancels by the end of a pair leaves, as in ``acc + a * b``; see above.
+        while zeros:
+            mono = zeros.pop()
+            if get(mono) == 0:
+                del out[mono]
+                dropped |= mono
+    # Fields below 2**31 sum below 2**32, so a field that overflowed shows
+    # its guard bit, in ``out`` or in a cancelled key, and nothing carried.
+    if functools.reduce(operator.or_, out, dropped) & _GUARD:
+        raise _overflow()
+    return _from_normalized({
+        mono: coeff if type(coeff) is int or coeff.denominator != 1 else coeff.numerator
+        for mono, coeff in out.items()
+    }) if out else _ZERO
 
 
 def _coerce(value):

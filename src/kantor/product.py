@@ -34,7 +34,7 @@ from typing import List, Sequence, Tuple
 
 from .algebra import Element, Multiplication, _from_entries, multiply
 from .errors import DimMismatch
-from .poly import Poly
+from .poly import Poly, sum_of_products
 
 
 def symbolic_vector(dim: int, avoid=()) -> Element:
@@ -61,26 +61,25 @@ def left_operator(a: Multiplication, u: Element) -> List[Tuple[Poly, ...]]:
 
 
 def act(lu: Sequence[Sequence[Poly]], b: Multiplication) -> Multiplication:
-    """The tensor (x, y) -> L(b(x, y)) - b(Lx, y) - b(x, Ly), for L with rows ``lu``."""
+    """The tensor (x, y) -> L(b(x, y)) - b(Lx, y) - b(x, Ly), for L with rows ``lu``.
+
+    One walk over B collects each entry's pairs ``(B_ij^m, L_mk)`` and
+    ``(-B_ij^m, L_ri)``; each entry is then one ``sum_of_products`` call.
+    """
     n = b.dim
     # rows[m]: the nonzero (k, L_mk); cols[i]: the nonzero (i', L_i'i).
     rows = [[(k, c) for k, c in enumerate(lu[m]) if not c.is_zero()] for m in range(n)]
     cols = [[(r, lu[r][i]) for r in range(n) if not lu[r][i].is_zero()] for i in range(n)]
     out = {}
-    get = out.get
-    zero = Poly.zero()
     for (i, j, m), entry in b.entries.items():
         for k, c in rows[m]:
-            key = (i, j, k)
-            out[key] = get(key, zero) + entry * c
+            out.setdefault((i, j, k), []).append((entry, c))
         neg = -entry
         for r, c in cols[i]:
-            key = (r, j, m)
-            out[key] = get(key, zero) + neg * c
+            out.setdefault((r, j, m), []).append((neg, c))
         for r, c in cols[j]:
-            key = (i, r, m)
-            out[key] = get(key, zero) + neg * c
-    return _from_entries(n, out)
+            out.setdefault((i, r, m), []).append((neg, c))
+    return _from_entries(n, {key: sum_of_products(pairs) for key, pairs in out.items()})
 
 
 def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = None) -> Multiplication:

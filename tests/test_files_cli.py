@@ -108,6 +108,12 @@ def test_cli_check_fractional_golden():
     assert out == (GOLDEN / "check_frac3.txt").read_text()
 
 
+def test_cli_square_fractional_golden():
+    code, out, err = run_cli("square", str(GOLDEN / "frac3.json"))
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "square_frac3.txt").read_text()
+
+
 def test_parse_with_params_and_constraints():
     text = json.dumps({
         "dim": 3,

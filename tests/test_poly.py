@@ -1,4 +1,5 @@
 import copy
+import functools
 import os
 import pickle
 import random
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kantor.errors import ExponentOverflow, ParseError
-from kantor.poly import MAX_EXPONENT, Poly, parse_poly, poly_substitute
+from kantor.poly import MAX_EXPONENT, Poly, parse_poly, poly_substitute, sum_of_products
 
 NAMES = ["u1", "u2", "alpha", "b"]
 # Seen first in reverse alphabetical order, so printing and parsing cannot
@@ -160,6 +161,27 @@ def test_coefficients_are_canonical(p, q, c):
             assert type(r.constant_value()) is F
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(polys(), polys()), max_size=4), st.integers(0, 4))
+def test_sum_of_products_matches_running_sum(base, cut):
+    # The negated pairs cancel a prefix exactly partway through the sum,
+    # and the repeated prefix brings those terms back.
+    pairs = base + [(-a, b) for a, b in base[:cut]] + base[:cut]
+    expected = functools.reduce(lambda acc, pair: acc + pair[0] * pair[1], pairs, Poly.zero())
+    result = sum_of_products(pairs)
+    assert result == expected
+    # Terms are stored in the running sum's order, which split_by follows.
+    assert list(result.monomials()) == list(expected.monomials())
+    assert sum_of_products(iter(pairs)) == expected
+    _assert_canonical(result)
+    assert sum_of_products(base[:cut] + [(-a, b) for a, b in base[:cut]]).is_zero()
+
+
+def test_sum_of_products_of_nothing_is_zero():
+    assert sum_of_products([]) == Poly.zero()
+    assert sum_of_products(iter(())).is_zero()
+
+
 def _mono_mul_reference(a, b):
     exps = dict(a)
     for name, e in b:
@@ -194,6 +216,8 @@ def test_exponent_bound():
     assert Poly({(("x", MAX_EXPONENT),): 1}) == top
     for overflow in (lambda: x ** 2 ** 31, lambda: top * x, lambda: (x + 1) ** 2 ** 31,
                      lambda: x ** 2 ** 30 * x ** 2 ** 30,
+                     lambda: sum_of_products([(y, y), (top, x)]),
+                     lambda: sum_of_products([(top, x), (-top, x)]),
                      lambda: Poly({(("x", 2 ** 31),): 1}),
                      lambda: Poly({(("x", MAX_EXPONENT), ("x", 1)): 1})):
         with pytest.raises(ExponentOverflow):
