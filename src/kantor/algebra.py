@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linsolve
@@ -256,6 +257,16 @@ def _from_entries(dim: int, entries: Dict[Tuple[int, int, int], Poly]) -> Multip
         m, "entries", {key: entries[key] for key in sorted(entries) if not entries[key].is_zero()}
     )
     return m
+
+
+def _clear_denominators(m: Multiplication) -> Tuple[Multiplication, int]:
+    """``(d * m, d)``, d the lcm of m's coefficient denominators (m itself if d = 1)."""
+    d = 1
+    for entry in m.entries.values():
+        for coeff in entry.terms.values():
+            if type(coeff) is not int:
+                d = lcm(d, coeff.denominator)
+    return (m if d == 1 else m.scale(d)), d
 
 
 def multiply(m: Multiplication, x: Element, y: Element) -> Element:

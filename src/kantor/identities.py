@@ -16,6 +16,13 @@ divided back by that constant before it is reduced or compared, so the
 obstructions, and their order, are those of the rational expansion, while
 the coefficients inside it stay integers whenever the spec's are.
 
+Terms of one product-tree shape, such as Jacobi's (xy)z, (zx)y and (yz)x,
+are evaluated once; each other term of the shape is that value with its
+generic coordinates renamed (``Poly.rename``).  A renaming injective on
+the names present is an isomorphism of monomial monoids, so it gives the
+direct evaluation term for term and in storage order, which keeps the
+group order of ``split_by`` and so the order of the obstructions.
+
 The ``builtin`` registry returns, for each named variety, the tuple of
 identity specs that define it (several for bundled definitions such as
 ``mock_lie`` = commutative + Jacobi).  Two-slot names follow a fixed slot
@@ -25,14 +32,14 @@ decorated one (bracket or circle).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from .algebra import Element, Multiplication, Subspace, centralizer, multiply
+from .algebra import Element, Multiplication, Subspace, _clear_denominators, centralizer, multiply
 from .errors import DimMismatch, SlotMismatch, SymbolicCoefficient, SymbolicEntries, UnknownIdentity
-from .poly import Poly
+from .poly import Poly, sum_of_products
 
 
 class Term:
@@ -351,40 +358,41 @@ def _slot_degree(term: Term, slot: int) -> int:
     return (term.slot == slot) + _slot_degree(term.left, slot) + _slot_degree(term.right, slot)
 
 
-def _clear_denominators(mults: Sequence[Multiplication]) -> Tuple[List[Multiplication], List[int]]:
-    """Each slot tensor scaled to integer coefficients, with its scale D_s.
+def _canonical(term: Term, order: List[int]) -> Term:
+    """The term with its variables renumbered by first occurrence, listed in ``order``."""
+    if isinstance(term, Var):
+        if term.index not in order:
+            order.append(term.index)
+        return Var(order.index(term.index))
+    return App(term.slot, _canonical(term.left, order), _canonical(term.right, order))
 
-    D_s is the lcm of the coefficient denominators of slot s; a slot that
-    is already integral is returned as it is, with D_s = 1.
-    """
-    cleared, denominators = [], []
-    for m in mults:
-        d = 1
-        for entry in m.entries.values():
-            for coeff in entry.terms.values():
-                if type(coeff) is not int:
-                    d = lcm(d, coeff.denominator)
-        cleared.append(m if d == 1 else m.scale(d))
-        denominators.append(d)
-    return cleared, denominators
+
+@functools.lru_cache(maxsize=1 << 10)
+def _shapes(terms: Tuple[Tuple[Fraction, Term], ...]) -> Tuple[Tuple[Term, Tuple[int, ...]], ...]:
+    """Each term's ``(shape, order)``: (zx)y is shape (v0 v1) v2 with order (2, 0, 1)."""
+    out = []
+    for _, term in terms:
+        order: List[int] = []
+        out.append((_canonical(term, order), tuple(order)))
+    return tuple(out)
 
 
 def _expand_cleared(
-    terms: Sequence[Tuple[Fraction, Term]],
+    terms: Tuple[Tuple[Fraction, Term], ...],
     cleared: Sequence[Multiplication],
     denominators: Sequence[int],
-    elements: Sequence[Element],
-) -> Tuple[Element, int]:
+    names: Sequence[Sequence[str]],
+) -> Tuple[List[Poly], int]:
     """Expand ``sum c * term`` on tensors cleared of denominators.
 
     ``cleared[s]`` is slot s's tensor times ``denominators[s]``.  A term
     applying deg_s products of slot s then comes out D_s^deg_s times too
     large, so each term is weighted by prod_s D_s^(top_s - deg_s), top_s
     being the largest deg_s over ``terms``.  Returns ``(E, C)``: the
-    expansion over the original tensors is E / C, with C = prod_s D_s^top_s.
-    Every partial sum is C times the one over the original tensors, so the
-    same terms cancel in the same order, and E is built from integer
-    coefficients whenever the spec's coefficients are integers.
+    coordinates of the expansion over the original tensors are those of E
+    divided by C = prod_s D_s^top_s.  Variable v is the generic element
+    with coordinates ``names[v]``.  Each shape is evaluated once; another
+    term of that shape is its value with the generic coordinates renamed.
     """
     weights, common = [1] * len(terms), 1
     for slot, d in enumerate(denominators):
@@ -393,12 +401,23 @@ def _expand_cleared(
             top = max(degrees)
             weights = [w * d ** (top - g) for w, g in zip(weights, degrees)]
             common *= d ** top
-    total = Element.zero(cleared[0].dim)
-    for (coeff, term), weight in zip(terms, weights):
-        if weight != 1:
-            coeff = coeff * weight
-        total = total + _eval_term(term, cleared, elements).scale(coeff)
-    return total, common
+    dim = cleared[0].dim
+    elements = [Element([Poly.var(n) for n in group]) for group in names]
+    evaluated: Dict[Term, Tuple[Tuple[int, ...], Tuple[Poly, ...]]] = {}
+    pairs: List[List[Tuple[Poly, Poly]]] = [[] for _ in range(dim)]
+    for (coeff, term), weight, (shape, order) in zip(terms, weights, _shapes(terms)):
+        seen = evaluated.get(shape)
+        if seen is None:
+            coords = _eval_term(term, cleared, elements).coords
+            evaluated[shape] = (order, coords)
+        else:
+            first, coords = seen
+            renaming = {names[v][i]: names[w][i] for v, w in zip(first, order) for i in range(dim)}
+            coords = [c.rename(renaming) for c in coords]
+        scale = Poly.const(coeff * weight)
+        for k, value in enumerate(coords):
+            pairs[k].append((scale, value))
+    return [sum_of_products(p) for p in pairs], common
 
 
 def _monomial_generators(modulo: Sequence[Poly]) -> List[Dict[str, int]]:
@@ -476,7 +495,7 @@ def check_identity(
         avoid |= m.names()
     for g in modulo:
         avoid |= g.names()
-    cleared, denominators = _clear_denominators(mults)
+    cleared, denominators = zip(*map(_clear_denominators, mults))
 
     obstructions: Dict[Poly, None] = {}
     for one in specs:
@@ -486,10 +505,9 @@ def check_identity(
             )
         names = fresh_generic_names(one.nvars, dim, avoid)
         generic = set(n for group in names for n in group)
-        elements = [Element([Poly.var(n) for n in group]) for group in names]
-        result, common = _expand_cleared(one.terms, cleared, denominators, elements)
+        result, common = _expand_cleared(one.terms, cleared, denominators, names)
         reduced: Dict[Poly, None] = {}
-        for coordinate in result.coords:
+        for coordinate in result:
             for coeff in coordinate.split_by(generic).values():
                 reduced.setdefault(_monomial_ideal_reduce(coeff, gens))
         for coeff in reduced:
@@ -525,13 +543,12 @@ def check_ann_equality(
         avoid |= m.names()
     names = fresh_generic_names(nvars, dim, avoid)
     generic = set(n for group in names for n in group)
-    elements = [Element([Poly.var(n) for n in group]) for group in names]
 
-    cleared, denominators = _clear_denominators(mults)
+    cleared, denominators = zip(*map(_clear_denominators, mults))
     terms = lhs.terms + tuple((-c, t) for c, t in rhs.terms)
-    diff, common = _expand_cleared(terms, cleared, denominators, elements)
+    diff, common = _expand_cleared(terms, cleared, denominators, names)
     by_monomial: Dict[tuple, List[Poly]] = {}
-    for k, coordinate in enumerate(diff.coords):
+    for k, coordinate in enumerate(diff):
         for mono, coeff in coordinate.split_by(generic).items():
             by_monomial.setdefault(mono, [Poly.zero()] * dim)[k] = (
                 coeff if common == 1 else coeff / common

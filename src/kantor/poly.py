@@ -127,6 +127,8 @@ def _graded(term) -> tuple:
 
 def _as_coeff(value) -> Scalar:
     """The canonical coefficient: an ``int`` if integral, else a ``Fraction``."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
@@ -354,6 +356,39 @@ class Poly:
                     rest = rest * value ** e
             pairs.append((_from_normalized({free: coeff}), rest))
         return sum_of_products(pairs)
+
+    def rename(self, names: Mapping[str, str]) -> "Poly":
+        """Replace each name in ``names`` by its image, keeping coefficients and term order.
+
+        ``ValueError`` unless the renaming, extended by the identity, is
+        injective on this polynomial's names, so that no two terms merge.
+        """
+        present = functools.reduce(operator.or_, self.terms, 0)
+        mask = image_mask = 0
+        targets: Dict[int, int] = {}
+        for old, new in names.items():
+            shift = _SHIFT.get(old)
+            if shift is not None and (present >> shift) & _FIELD:
+                targets[shift] = _shift(new)
+                mask |= _FIELD << shift
+                image_mask |= _FIELD << targets[shift]
+        if present & ~mask & image_mask or len(set(targets.values())) < len(targets):
+            raise ValueError(f"renaming {names} is not injective on the polynomial's names")
+        images: Dict[int, int] = {}
+        out: Dict[int, Scalar] = {}
+        for key, coeff in self.terms.items():
+            part = key & mask
+            image = images.get(part)
+            if image is None:
+                image, rest = 0, part
+                while rest:
+                    shift = ((rest & -rest).bit_length() - 1) & ~31
+                    exp = (rest >> shift) & _FIELD
+                    image += exp << targets[shift]
+                    rest -= exp << shift
+                images[part] = image
+            out[key - part + image] = coeff
+        return _from_normalized(out)
 
     # -- printing ----------------------------------------------------------
 

@@ -19,9 +19,14 @@ left product is the action of L on the tensor of B:
 
 ``left_operator`` builds L with n calls of ``multiply``, and ``act`` walks
 the nonzero entries B_ij^m once, so each costs a few polynomial products;
-``kantor_product`` is ``act(left_operator(A, u), B)``, and a caller pairing
-one A with many B builds L once.  In this row convention a matrix D is a
-derivation of B iff ``act(D, B)`` is zero.
+a caller pairing one L with many B (``un_table``) finds L's nonzero
+entries once with ``_sparse`` and hands them to ``_act``.  In this row
+convention a matrix D is a derivation of B iff ``act(D, B)`` is zero.
+
+``kantor_product`` runs over the integers: with D_A * A and D_B * B cleared
+of denominators, it divides their product by D_A * D_B once.  Scaling by a
+nonzero constant keeps every cancellation, so each entry stores its terms
+in the same order as the rational product.
 
 When no u is supplied, a symbolic vector with fresh coordinates (u1, ...,
 un by default) is used, so the resulting tensor stays linear in the
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from .algebra import Element, Multiplication, _from_entries, multiply
+from .algebra import Element, Multiplication, _clear_denominators, _from_entries, multiply
 from .errors import DimMismatch
 from .poly import Poly, sum_of_products
 
@@ -60,16 +65,26 @@ def left_operator(a: Multiplication, u: Element) -> List[Tuple[Poly, ...]]:
     return [multiply(a, u, Element.basis(n, i)).coords for i in range(n)]
 
 
+def _sparse(lu: Sequence[Sequence[Poly]]):
+    """L's nonzero entries: rows[m] holds the (k, L_mk), cols[i] the (r, L_ri)."""
+    n = len(lu)
+    rows = [[(k, c) for k, c in enumerate(lu[m]) if not c.is_zero()] for m in range(n)]
+    cols = [[(r, lu[r][i]) for r in range(n) if not lu[r][i].is_zero()] for i in range(n)]
+    return rows, cols
+
+
 def act(lu: Sequence[Sequence[Poly]], b: Multiplication) -> Multiplication:
-    """The tensor (x, y) -> L(b(x, y)) - b(Lx, y) - b(x, Ly), for L with rows ``lu``.
+    """The tensor (x, y) -> L(b(x, y)) - b(Lx, y) - b(x, Ly), for L with rows ``lu``."""
+    return _act(_sparse(lu), b)
+
+
+def _act(sparse, b: Multiplication) -> Multiplication:
+    """``act`` for L given by ``_sparse``.
 
     One walk over B collects each entry's pairs ``(B_ij^m, L_mk)`` and
     ``(-B_ij^m, L_ri)``; each entry is then one ``sum_of_products`` call.
     """
-    n = b.dim
-    # rows[m]: the nonzero (k, L_mk); cols[i]: the nonzero (i', L_i'i).
-    rows = [[(k, c) for k, c in enumerate(lu[m]) if not c.is_zero()] for m in range(n)]
-    cols = [[(r, lu[r][i]) for r in range(n) if not lu[r][i].is_zero()] for i in range(n)]
+    rows, cols = sparse
     out = {}
     for (i, j, m), entry in b.entries.items():
         for k, c in rows[m]:
@@ -79,14 +94,21 @@ def act(lu: Sequence[Sequence[Poly]], b: Multiplication) -> Multiplication:
             out.setdefault((r, j, m), []).append((neg, c))
         for r, c in cols[j]:
             out.setdefault((i, r, m), []).append((neg, c))
-    return _from_entries(n, {key: sum_of_products(pairs) for key, pairs in out.items()})
+    return _from_entries(b.dim, {key: sum_of_products(pairs) for key, pairs in out.items()})
 
 
 def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = None) -> Multiplication:
     """The left Kantor product [[a, b]] with respect to u (symbolic if omitted)."""
     if a.dim != b.dim:
         raise DimMismatch("multiplications act on different dimensions")
-    return act(left_operator(a, _resolve_u(a, b, u)), b)
+    u = _resolve_u(a, b, u)
+    cleared_a, da = _clear_denominators(a)
+    cleared_b, db = (cleared_a, da) if b is a else _clear_denominators(b)
+    product = act(left_operator(cleared_a, u), cleared_b)
+    d = da * db
+    if d == 1:
+        return product
+    return _from_entries(product.dim, {key: e / d for key, e in product.entries.items()})
 
 
 def kantor_square(a: Multiplication, u: Element | None = None) -> Multiplication:

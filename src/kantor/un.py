@@ -5,9 +5,9 @@ a(i,j)^k(v_t, v_l) = delta_it delta_jl v_k.  The bracket of two elements
 is their Kantor product with respect to a reference vector, decomposed
 back into elementary multiplications; the reference vector defaults to
 the first basis vector v_1, which is the choice that reproduces the
-classical U(2) table.  ``un_table`` builds each elementary tensor and its
-operator x -> a(u, x) once, n^3 of each, and lets every operator act on
-every tensor, so its n^6 brackets make n^4 ``multiply`` calls in all.
+classical U(2) table.  ``un_table`` builds each elementary tensor and the
+nonzero entries of its operator x -> a(u, x) once, n^3 of each, and lets
+every operator act on every tensor: n^4 ``multiply`` calls in all.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Dict, List, Sequence, Tuple
 from .algebra import Element, Multiplication, render_combination
 from .errors import DimMismatch, IndexOutOfRange
 from .poly import Poly
-from .product import act, kantor_product, left_operator
+from .product import _act, _sparse, kantor_product, left_operator
 
 Index = Tuple[int, int, int]
 
@@ -125,10 +125,10 @@ def un_table(n: int, u: Element | None = None) -> List[Tuple[Index, Index, UnEle
     u = _reference_vector(n, u)
     indices = basis_indices(n)
     tensors = [elementary(*idx, n) for idx in indices]
-    operators = [left_operator(x, u) for x in tensors]
+    operators = [_sparse(left_operator(x, u)) for x in tensors]
     return [
-        (first, second, UnElement.from_mult(act(lu, y)))
-        for first, lu in zip(indices, operators)
+        (first, second, UnElement.from_mult(_act(sparse, y)))
+        for first, sparse in zip(indices, operators)
         for second, y in zip(indices, tensors)
     ]
 

@@ -114,6 +114,13 @@ def test_cli_square_fractional_golden():
     assert out == (GOLDEN / "square_frac3.txt").read_text()
 
 
+def test_cli_product_fractional_golden():
+    # T02US has halves, frac3 thirds and quarters: the product divides by both.
+    code, out, err = run_cli("product", "catalog:T02US", str(GOLDEN / "frac3.json"))
+    assert code == 0 and err == ""
+    assert out == (GOLDEN / "product_T02US_frac3.txt").read_text()
+
+
 def test_parse_with_params_and_constraints():
     text = json.dumps({
         "dim": 3,

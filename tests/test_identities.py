@@ -403,6 +403,23 @@ def test_cleared_expansion_matches_plain_with_a_denominator_per_slot():
             assert_matches_plain([dot.scale(2), bracket], builtin(name))
 
 
+def test_every_builtin_bundle_matches_the_plain_expansion():
+    # Terms sharing a product-tree shape are renamings of one evaluation;
+    # obstructions and their order must still be the plain expansion's.
+    rng = random.Random(73)
+    table = rand_fraction_table(rng, 3, denominators=(1, 2, 3), density=0.5)
+    square = kantor_square(rand_fraction_table(rng, 2, denominators=(1, 2, 3)))
+    other = rand_fraction_table(rng, 2, denominators=(1, 5), density=0.7)
+    for name in builtin_names():
+        specs = builtin(name)
+        if specs[0].nslots == 1:
+            assert_matches_plain(table, specs)
+            assert_matches_plain(square, specs)
+        else:
+            assert_matches_plain([square, other], specs)
+            assert_matches_plain([other, square], specs)
+
+
 def test_cleared_expansion_weights_terms_by_their_slot_degrees():
     x, y, z = Var(0), Var(1), Var(2)
 

@@ -288,3 +288,37 @@ def test_power_is_repeated_multiplication(p, e):
     for _ in range(e):
         expected = expected * p
     assert p ** e == expected
+
+
+FRESH = ["r_1", "r_2"]
+
+
+def _renamed(mono, names):
+    return tuple(sorted((names.get(name, name), e) for name, e in mono))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), st.permutations(NAMES + FRESH))
+def test_rename_is_an_order_keeping_substitution(p, images):
+    names = dict(zip(NAMES, images))
+    q = p.rename(names)
+    assert q == p.substitute({old: Poly.var(new) for old, new in names.items()})
+    # Each key maps to its image in place, with its coefficient.
+    assert list(q.monomials()) == [(_renamed(m, names), c) for m, c in p.monomials()]
+    back = q.rename({new: old for old, new in names.items()})
+    assert list(back.monomials()) == list(p.monomials())
+    _assert_canonical(q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(REVERSED), st.sampled_from(NAMES), st.sampled_from(NAMES), st.sampled_from(FRESH))
+def test_rename_refuses_to_merge_names(base, a, b, fresh):
+    if a == b:
+        return
+    p = Poly.var(a) * Poly.var(b) + base
+    with pytest.raises(ValueError):
+        p.rename({a: fresh, b: fresh})
+    with pytest.raises(ValueError):
+        p.rename({a: b})
+    # Names the polynomial lacks may map anywhere.
+    assert base.rename({a: REVERSED[0]}) == base

@@ -8,7 +8,7 @@ from kantor.catalog import load_catalog
 from kantor.errors import DimMismatch
 from kantor.identities import builtin, check_identity
 from kantor.poly import Poly
-from kantor.product import kantor_product, kantor_square, right_kantor_product
+from kantor.product import act, kantor_product, kantor_square, left_operator, right_kantor_product
 
 
 def rand_mult(rng, dim):
@@ -173,6 +173,23 @@ def test_left_product_matches_its_definition():
                     for x in basis
                 ]
                 assert kantor_product(a, b, u) == Multiplication(expected)
+
+
+def test_integer_product_keeps_the_rational_term_order():
+    # kantor_product runs on tensors cleared of denominators and divides
+    # back once; every entry must equal the rational action term for term.
+    rng = random.Random(47)
+    for dim in (2, 3):
+        a = rand_mult(rng, dim).scale(F(1, 3))
+        b = rand_mult(rng, dim) + Multiplication.from_table(dim, {(1, 1, dim): "1/5*p - 2/7"})
+        for u in (Element.symbolic("u", dim), rand_vector(rng, dim)):
+            for x, y in ((a, b), (b, a), (b, b)):
+                got = kantor_product(x, y, u)
+                rational = act(left_operator(x, u), y)
+                assert got == rational
+                assert [list(e.monomials()) for e in got.entries.values()] == [
+                    list(e.monomials()) for e in rational.entries.values()
+                ]
 
 
 def test_right_product_matches_its_definition():
