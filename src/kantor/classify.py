@@ -26,10 +26,11 @@ assignments or residual equations are returned without re-verification.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import Algebra, Element, Multiplication
 from .errors import LieCheckFailed, SymbolicEntries
@@ -59,8 +60,9 @@ class RationalValue(NamedTuple):
         deg = max(max(num_parts, default=0), max(den_parts, default=0))
         if deg == 0:
             return self
-        new_num = _subst_parts(num_parts, num, den, deg)
-        new_den = _subst_parts(den_parts, num, den, deg)
+        power = _powers(num, den)
+        new_num = _subst_parts(num_parts, power, deg)
+        new_den = _subst_parts(den_parts, power, deg)
         if new_den.is_constant():
             return RationalValue(new_num / new_den.constant_value())
         return RationalValue(new_num, new_den)
@@ -134,16 +136,21 @@ class SolutionFamily:
 
 # -- polynomial helpers -------------------------------------------------------
 
-def _subst_parts(parts: Mapping[int, Poly], num: Poly, den: Poly, degree: int) -> Poly:
+def _powers(num: Poly, den: Poly) -> Callable[[int, int], Poly]:
+    """``power(e, d) = num^e * den^(d - e)``, each product built once per ``_powers`` call."""
+    return functools.lru_cache(maxsize=None)(lambda e, degree: num ** e * den ** (degree - e))
+
+
+def _subst_parts(parts: Mapping[int, Poly], power: Callable[[int, int], Poly], degree: int) -> Poly:
     """den^degree * sum_e parts[e] * (num/den)^e for a ``coeffs_in`` map (degree >= each e)."""
-    return sum_of_products((coeff * num ** e, den ** (degree - e)) for e, coeff in parts.items())
+    return sum_of_products((coeff, power(e, degree)) for e, coeff in parts.items())
 
 
-def _subst_rational(p: Poly, name: str, num: Poly, den: Poly) -> Poly:
+def _subst_rational(p: Poly, name: str, power: Callable[[int, int], Poly]) -> Poly:
     """den^d * p with ``name := num/den``, d the degree of p in ``name`` (den nonzero)."""
     parts = p.coeffs_in(name)
     degree = max(parts, default=0)
-    return p if degree == 0 else _subst_parts(parts, num, den, degree)
+    return p if degree == 0 else _subst_parts(parts, power, degree)
 
 
 def _back_substitute(value: RationalValue, assignment: Mapping[str, RationalValue]) -> RationalValue:
@@ -231,6 +238,35 @@ def _split_inequation(q: Poly) -> List[Poly]:
     return parts
 
 
+class _Facts(NamedTuple):
+    equation: Poly
+    names: Dict[str, Tuple[int, int]]
+    first: Optional[Tuple[str, Dict[int, Poly]]]
+    linear: List[Tuple[int, int, str]]
+
+
+def _facts(q: Poly, unknowns: Sequence[str]) -> _Facts:
+    """What the case split reads off a content-normalized equation q.
+
+    ``names`` is ``q.occurrences()``; ``first`` is the first unknown with a
+    constant linear coefficient and q's ``coeffs_in`` map in it, or None;
+    ``linear`` holds step 4's (coefficient terms, equation terms, unknown)
+    of the linear occurrences before it, in unknown order.
+    """
+    names = q.occurrences()
+    linear = []
+    for name in unknowns:
+        count, degree = names.get(name, (0, 0))
+        if degree != 1:
+            continue
+        # With name in a single term, its coefficient is constant iff that
+        # term is name itself.
+        if count == 1 and Poly.var(name).terms.keys() <= q.terms.keys():
+            return _Facts(q, names, (name, q.coeffs_in(name)), linear)
+        linear.append((count, len(q.terms), name))
+    return _Facts(q, names, None, linear)
+
+
 def case_split_solve(
     equations: Sequence[Poly], unknowns: Sequence[str], max_depth: int = 16
 ) -> List[SolutionFamily]:
@@ -248,14 +284,28 @@ def case_split_solve(
     Equations and hypotheses (inequations) are kept content-normalized, so
     equal constraints compare equal: ``normalize`` runs on the equations at
     each branch, and hypotheses enter only through ``add_inequations``.
+
+    A substitution keeps each equation without the substituted name as the
+    same object, so for one call a memo keyed by identity holds each
+    equation (so that no other takes its id) with the ``_facts`` of its
+    content-normalized form.
     """
     unknowns = tuple(unknowns)
     families: List[SolutionFamily] = []
+    memo: Dict[int, Tuple[Poly, _Facts]] = {}
+
+    def facts(q: Poly) -> _Facts:
+        seen = memo.get(id(q))
+        if seen is None:
+            p = _content_normalize(q)
+            seen = memo[id(q)] = (q, _facts(p, unknowns))
+            memo[id(p)] = (p, seen[1])
+        return seen[1]
 
     def normalize(eqs: Sequence[Poly], ineqs: Sequence[Poly]):
         out: Dict[Poly, None] = {}
         for q in eqs:
-            q = _content_normalize(q)
+            q = facts(q).equation
             if q.is_zero():
                 continue
             if q.is_constant():
@@ -276,11 +326,11 @@ def case_split_solve(
         return out
 
     def substitute_all(eqs, ineqs, name, value: RationalValue):
-        num, den = value
-        new_eqs = [_subst_rational(q, name, num, den) for q in eqs]
+        power = _powers(*value)
+        new_eqs = [_subst_rational(q, name, power) if name in facts(q).names else q for q in eqs]
         new_ineqs: Optional[List[Poly]] = []
         for q in ineqs:
-            new_ineqs = add_inequations(new_ineqs, _subst_rational(q, name, num, den))
+            new_ineqs = add_inequations(new_ineqs, _subst_rational(q, name, power))
             if new_ineqs is None:
                 return None, None
         return new_eqs, new_ineqs
@@ -318,36 +368,29 @@ def case_split_solve(
             emit(assign_order, [], ineqs, labels)
             return
 
-        # 1. Unknowns occurring linearly with a rational coefficient.  The
-        #    other linear occurrences are kept for step 4.
-        linear = []
+        # 1. Unknowns occurring linearly with a rational coefficient, taking
+        #    the first equation, then the first unknown.
         for q in eqs:
-            present = q.names()
-            for name in unknowns:
-                if name not in present:
-                    continue
-                parts = q.coeffs_in(name)
-                if max(parts) != 1:
-                    continue
-                c, d = parts[1], parts.get(0, Poly.zero())
-                if c.is_constant():
-                    value = RationalValue(-d / c.constant_value())
-                    assign_and_descend(eqs, q, name, value, assign_order, ineqs, labels, depth)
-                    return
-                linear.append((len(c.terms), len(q.terms), name, q, c, d))
+            first = facts(q).first
+            if first is not None:
+                name, parts = first
+                value = RationalValue(-parts.get(0, Poly.zero()) / parts[1].constant_value())
+                assign_and_descend(eqs, q, name, value, assign_order, ineqs, labels, depth)
+                return
 
         # 2. Univariate equations of degree <= 2 with rational roots.
         for q in eqs:
-            names = sorted(q.names())
+            names = facts(q).names
             if len(names) != 1:
                 continue
-            roots = _univariate_roots(q, names[0])
+            (name,) = names
+            roots = _univariate_roots(q, name)
             if roots is None:
                 continue
             for root in roots:
                 assign_and_descend(
-                    eqs, q, names[0], RationalValue(Poly.const(root)), assign_order, ineqs,
-                    labels + [f"{names[0]} = {root}"], depth - 1,
+                    eqs, q, name, RationalValue(Poly.const(root)), assign_order, ineqs,
+                    labels + [f"{name} = {root}"], depth - 1,
                 )
             return
 
@@ -356,7 +399,7 @@ def case_split_solve(
         for q in eqs:
             if len(q.terms) != 1:
                 continue
-            names = sorted(q.names())
+            names = sorted(facts(q).names)
             hypotheses = list(ineqs)
             for pos, name in enumerate(names):
                 assign_and_descend(
@@ -371,9 +414,13 @@ def case_split_solve(
             return
 
         # 4. Branch on a linear occurrence with a polynomial coefficient;
-        #    prefer the smallest coefficient.
+        #    prefer the fewest coefficient terms, then the fewest equation
+        #    terms, then the name, and the first such occurrence.
+        linear = [(key, q) for q in eqs for key in facts(q).linear]
         if depth > 0 and linear:
-            _, _, name, q, c, d = min(linear, key=lambda item: item[:3])
+            (_, _, name), q = min(linear, key=lambda item: item[0])
+            parts = q.coeffs_in(name)
+            c, d = parts[1], parts.get(0, Poly.zero())
             branch_ineqs = add_inequations(ineqs, c)
             if branch_ineqs is not None:
                 assign_and_descend(

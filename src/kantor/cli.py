@@ -1,13 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 a
-requested check failed, 5 catalog self-test failure.
+requested check failed, 5 catalog self-test failure, 141 the reader closed
+standard output early (as in ``kantor ... | head``).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -42,6 +45,8 @@ PARSE_FAILURE = 2
 PRECONDITION_FAILURE = 3
 CHECK_FAILURE = 4
 SELFTEST_FAILURE = 5
+# The status a shell reports for a process that SIGPIPE ended.
+BROKEN_PIPE = 141
 
 
 class _CliFailure(Exception):
@@ -130,15 +135,15 @@ def _parse_graded(text: str) -> witt_mod.GradedElement:
     return total
 
 
-def _family_payload(family):
-    payload = {
+def _family_payload(family, text):
+    """The ``--json`` record of one family; ``text`` prints a value or polynomial."""
+    return {
         "label": family.label,
-        "assignment": {name: str(value) for name, value in family.assignment.items()},
+        "assignment": {name: text(value) for name, value in family.assignment.items()},
         "free": list(family.free),
-        "equations": [str(q) for q in family.equations],
-        "inequations": [str(q) for q in family.inequations],
+        "equations": [text(q) for q in family.equations],
+        "inequations": [text(q) for q in family.inequations],
     }
-    return payload
 
 
 def _cmd_square(args) -> int:
@@ -213,7 +218,9 @@ def _cmd_classify(args) -> int:
             fixed = postlie_stage1(mult, fixed_u=Element.basis(mult.dim, 0))
             print("  " + _render_stage(fixed, labels))
     if args.json:
-        print(json.dumps([_family_payload(f) for f in families], indent=2))
+        # Families share most of their values: print each distinct one once.
+        text = functools.lru_cache(maxsize=None)(str)
+        print(json.dumps([_family_payload(f, text) for f in families], indent=2))
         return 0
     for idx, family in enumerate(families, 1):
         print(f"family {idx}: {family.label}")
@@ -365,7 +372,13 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) == "catalog" and args.action == "show" and not args.name:
         parser.error("catalog show needs a name")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except _CliFailure as exc:
         print(f"error: {exc.message}", file=sys.stderr)
         return exc.code

@@ -497,7 +497,7 @@ def check_identity(
         avoid |= g.names()
     cleared, denominators = zip(*map(_clear_denominators, mults))
 
-    obstructions: Dict[Poly, None] = {}
+    obstructions: List[Poly] = []
     for one in specs:
         if one.nslots != len(mults):
             raise SlotMismatch(
@@ -510,9 +510,12 @@ def check_identity(
         for coordinate in result:
             for coeff in coordinate.split_by(generic).values():
                 reduced.setdefault(_monomial_ideal_reduce(coeff, gens))
-        for coeff in reduced:
-            if not coeff.is_zero():
-                obstructions.setdefault(coeff if common == 1 else coeff / common)
+        # Distinct integer obstructions stay distinct divided by one constant.
+        obstructions.extend(
+            coeff if common == 1 else coeff / common for coeff in reduced if not coeff.is_zero()
+        )
+    if len(specs) > 1:
+        obstructions = list(dict.fromkeys(obstructions))
     return Verdict(not obstructions, tuple(obstructions))
 
 

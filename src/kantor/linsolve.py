@@ -1,11 +1,15 @@
 """Exact linear algebra over the rationals.
 
-Matrices are plain lists of lists of ``Fraction``; everything is done by
-fraction-free-enough Gaussian elimination (exact ``Fraction`` arithmetic,
-first nonzero pivot).  On top of the matrix kernel sits ``solve_linear``,
-which takes polynomial equations that are affine in a designated unknown
-set and returns the full solution space with pivot unknowns expressed as
-affine polynomials in the free ones.
+Matrices are plain lists of lists of ``Fraction``.  ``rref`` works on
+sparse rows, each a map from its nonzero columns to ``Fraction`` entries,
+and pivots each column on the shortest pending row that has a nonzero
+there, so that elimination touches few entries (Markowitz, "The
+elimination form of the inverse", Management Science 3, 1957).  The
+reduced row echelon form of a matrix is unique, so neither the sparse
+storage nor the pivot choice can change a result.  On top of the matrix
+kernel sits ``solve_linear``, which takes polynomial equations that are
+affine in a designated unknown set and returns the full solution space
+with pivot unknowns expressed as affine polynomials in the free ones.
 """
 
 from __future__ import annotations
@@ -21,38 +25,41 @@ Vector = List[Fraction]
 Matrix = List[List[Fraction]]
 
 
-def _clone(rows: Sequence[Sequence[Fraction]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    m = _clone(rows)
-    if not m:
+    """Reduced row echelon form (zero rows last, as many rows as given) and the pivot columns."""
+    if not rows:
         return [], []
-    ncols = len(m[0])
+    ncols = len(rows[0])
+    pending = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows]
+    pending = [row for row in pending if row]
+    reduced: List[Dict[int, Fraction]] = []
     pivots: List[int] = []
-    r = 0
     for col in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][col]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][col]:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(m):
+        if not pending:
             break
-    return m[:r] + [[Fraction(0)] * ncols for _ in range(len(m) - r)], pivots
+        candidates = [i for i, row in enumerate(pending) if col in row]
+        if not candidates:
+            continue
+        pivot = pending.pop(min(candidates, key=lambda i: len(pending[i])))
+        inv = pivot[col]
+        if inv != 1:
+            pivot = {c: x / inv for c, x in pivot.items()}
+        for row in reduced + pending:
+            factor = row.get(col)
+            if factor is None:
+                continue
+            for c, x in pivot.items():
+                value = row.get(c, 0) - factor * x
+                if value:
+                    row[c] = value
+                else:
+                    del row[c]
+        pending = [row for row in pending if row]
+        reduced.append(pivot)
+        pivots.append(col)
+    zero = Fraction(0)
+    dense = [[row.get(c, zero) for c in range(ncols)] for row in reduced]
+    return dense + [[zero] * ncols for _ in range(len(rows) - len(dense))], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:

@@ -199,6 +199,15 @@ class Poly:
     def names(self) -> set:
         return {name for name, _ in _decode(functools.reduce(operator.or_, self.terms, 0))}
 
+    def occurrences(self) -> Dict[str, Tuple[int, int]]:
+        """Each name's ``(number of terms containing it, degree in it)``, in one pass."""
+        out: Dict[str, Tuple[int, int]] = {}
+        for key in self.terms:
+            for name, e in _decode(key):
+                seen = out.get(name)
+                out[name] = (1, e) if seen is None else (seen[0] + 1, max(seen[1], e))
+        return out
+
     def coeffs_in(self, name: str) -> Dict[int, "Poly"]:
         """Coefficients of the powers of ``name``: p = sum_k coeffs[k] * name^k.
 

@@ -513,3 +513,34 @@ def test_case_split_hypotheses_are_normalized_distinct_factors():
     families = case_split_solve(system, ["w", "x", "y", "z"], max_depth=2)
     assert [f.inequations for f in families] == [(x, x + y, x * x - y * y), (x, x + y)]
     assert_case_split_invariants(families)
+
+
+def test_case_split_step1_takes_the_first_equation_then_its_first_unknown():
+    # Both equations have constant linear occurrences.  The first equation
+    # is solved first, for its first unknown b (not c); the assignment
+    # lists the solved unknowns in reverse solve order.
+    c = Poly.var("c")
+    [family] = case_split_solve([c - Poly.var("b"), Poly.var("a") - c], ["a", "b", "c"])
+    assert list(family.assignment.items()) == [("a", (c, 1)), ("b", (c, 1))]
+    assert family.free == ("c",)
+
+
+@pytest.mark.parametrize("system, coefficient", [
+    # Fewer coefficient terms win over the name: b and d (coefficients a
+    # and c) beat a and c (coefficients b + c and a + d).
+    (["a*b + a*c + c*d + 1"], "a"),
+    # Coefficient terms count before equation terms: a (coefficient b, in
+    # four terms) beats g (coefficient h + i, in three).
+    (["g*h + g*i + h*i", "a*b + c*d + e*f + 1"], "b"),
+    # Then fewer equation terms: g in the three-term equation beats a.
+    (["a*b + c*d + e*f + 1", "g*h + i*j + 1"], "h"),
+    # Then the name: in a*b + c*d + 1 the unknown a (coefficient b) beats
+    # b, c and d.
+    (["a*b + c*d + 1"], "b"),
+    # On a full tie the first equation wins: a in both, coefficient b first.
+    (["a*b + c*d + 1", "a*e + f*g + 1"], "b"),
+])
+def test_case_split_step4_pivot_tie_break(system, coefficient):
+    families = case_split_solve([parse_poly(q) for q in system], list("abcdefghij"), max_depth=1)
+    assert families[0].label.startswith(f"{coefficient} != 0")
+    assert any(f.label.startswith(f"{coefficient} = 0") for f in families)

@@ -1,12 +1,16 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import kantor
 from kantor.catalog import load_catalog
-from kantor.cli import main
+from kantor.cli import BROKEN_PIPE, main
 from kantor.errors import IndexOutOfRange, ParseError, UndeclaredParam
 from kantor.files import parse_algebra, render_algebra
 from kantor.product import symbolic_vector
@@ -246,6 +250,8 @@ def test_cli_un_table_symbolic_u_golden():
         (("poisson", "catalog:heis4", "--json"), "classify_poisson_heis4.json"),
         (("postlie", "catalog:heis4", "--max-depth", "2", "--json"),
          "classify_postlie_heis4_depth2.json"),
+        (("postlie", "catalog:heis4", "--max-depth", "4", "--json"),
+         "classify_postlie_heis4_depth4.json"),
     ],
 )
 def test_cli_classify_golden(args, golden):
@@ -342,3 +348,20 @@ def test_cli_bad_references():
     code, out, err = run_cli("square", "catalog:C8:pair:junk")
     assert code == 2 and out == ""
     assert err == "error: bad catalog reference 'catalog:C8:pair:junk'\n"
+
+
+def test_cli_reader_closing_the_pipe_early_exits_quietly():
+    # About 108 KB of output: more than the pipe holds plus what readline
+    # buffers, so a later write must meet the closed pipe.
+    src = str(Path(kantor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kantor", "un-table", "--dim", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == BROKEN_PIPE
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kantor.algebra import Subspace
 from kantor.errors import InconsistentSystem, NonlinearInput, SingularMatrix
@@ -98,3 +100,80 @@ def test_solve_linear_back_substitution_random():
             continue
         for p in system:
             assert sol.substitute(p) == 0
+
+
+def dense_rref(rows):
+    """The dense first-nonzero-pivot elimination: the reference for ``rref``."""
+    m = [[F(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(r, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = m[r][col]
+        m[r] = [x / inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][col]:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r] + [[F(0)] * ncols for _ in range(len(m) - r)], pivots
+
+
+def dense_nullspace(rows, ncols):
+    reduced, pivots = dense_rref(rows)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [F(0)] * ncols
+        vec[free] = F(1)
+        for row, pcol in zip(reduced, pivots):
+            vec[pcol] = -row[free]
+        basis.append(vec)
+    return basis
+
+
+def sparse_entries():
+    # Mostly zeros, as in the classifiers' linear stages.
+    nonzero = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    return st.one_of(st.just(F(0)), st.just(F(0)), nonzero)
+
+
+@st.composite
+def matrices(draw):
+    """Wide and tall shapes, with zero rows and repeated rows mixed in."""
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    rows = [draw(st.lists(sparse_entries(), min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    if rows and draw(st.booleans()):
+        copied = rows[draw(st.integers(0, len(rows) - 1))]
+        rows.insert(draw(st.integers(0, len(rows))), list(copied))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [F(0)] * ncols)
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_sparse_rref_equals_the_dense_reference(case):
+    rows, ncols = case
+    expected = dense_rref(rows)
+    assert rref(rows) == expected
+    assert rank(rows) == len(expected[1])
+    assert nullspace(rows, ncols) == dense_nullspace(rows, ncols)
+    square = [row[:len(rows)] for row in rows] if len(rows) <= ncols else None
+    if square:
+        n = len(square)
+        aug = [row + [F(int(i == j)) for j in range(n)] for i, row in enumerate(square)]
+        reduced, pivots = dense_rref(aug)
+        if pivots[:n] == list(range(n)):
+            assert mat_inverse(square) == [row[n:] for row in reduced[:n]]
+        else:
+            with pytest.raises(SingularMatrix):
+                mat_inverse(square)

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kantor.errors import ExponentOverflow, ParseError
@@ -322,3 +322,17 @@ def test_rename_refuses_to_merge_names(base, a, b, fresh):
         p.rename({a: b})
     # Names the polynomial lacks may map anywhere.
     assert base.rename({a: REVERSED[0]}) == base
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(NAMES + REVERSED))
+@example(Poly.zero())
+@example(Poly.const(F(-3, 4)))
+@example(parse_poly("1/2*u1^2*b - 3*u1*alpha + u1 - 2/3"))
+def test_occurrences_agree_with_coeffs_in(p):
+    expected = {}
+    for name in NAMES + REVERSED:
+        powers = {e: c for e, c in p.coeffs_in(name).items() if e}
+        if powers:
+            expected[name] = (sum(len(c.terms) for c in powers.values()), max(powers))
+    assert p.occurrences() == expected
