@@ -122,15 +122,16 @@ class SolutionFamily:
             values.setdefault(name, Fraction(0))
         return values
 
-    def describe(self) -> str:
-        parts = [f"{name} = {self.assignment[name]}" for name in self.unknowns
+    def describe(self, text: Callable[[object], str] = str) -> str:
+        """The family on one line; ``text`` prints each value, equation and hypothesis."""
+        parts = [f"{name} = {text(self.assignment[name])}" for name in self.unknowns
                  if name in self.assignment]
         if self.free:
             parts.append("free: " + ", ".join(self.free))
         if self.equations:
-            parts.append("residual: " + "; ".join(str(q) + " = 0" for q in self.equations))
+            parts.append("residual: " + "; ".join(text(q) + " = 0" for q in self.equations))
         if self.inequations:
-            parts.append("assuming: " + "; ".join(str(q) + " != 0" for q in self.inequations))
+            parts.append("assuming: " + "; ".join(text(q) + " != 0" for q in self.inequations))
         return "; ".join(parts) if parts else "unconstrained"
 
 
@@ -213,26 +214,9 @@ def _univariate_roots(p: Poly, name: str) -> Optional[List[Fraction]]:
 
 def _split_inequation(q: Poly) -> List[Poly]:
     """Factor the monomial content: m * p != 0 iff each variable of m and p != 0."""
-    common = None
-    for mono, _ in q.monomials():
-        exps = dict(mono)
-        if common is None:
-            common = exps
-        else:
-            common = {n: min(e, common[n]) for n, e in exps.items() if n in common}
-        if not common:
-            break
-    parts = [Poly.var(name) for name in sorted(common or {})]
-    if common:
-        stripped = {}
-        for mono, coeff in q.monomials():
-            exps = dict(mono)
-            for name, e in common.items():
-                exps[name] -= e
-            stripped[tuple(sorted((n, e) for n, e in exps.items() if e))] = coeff
-        rest = _content_normalize(Poly(stripped))
-    else:
-        rest = _content_normalize(q)
+    content, rest = q.monomial_factor()
+    parts = [Poly.var(name) for name in sorted(content.names())]
+    rest = _content_normalize(rest)
     if not rest.is_constant():
         parts.append(rest)
     return parts
@@ -282,38 +266,31 @@ def case_split_solve(
     hypotheses become contradictory are pruned.
 
     Equations and hypotheses (inequations) are kept content-normalized, so
-    equal constraints compare equal: ``normalize`` runs on the equations at
-    each branch, and hypotheses enter only through ``add_inequations``.
-
-    A substitution keeps each equation without the substituted name as the
-    same object, so for one call a memo keyed by identity holds each
-    equation (so that no other takes its id) with the ``_facts`` of its
-    content-normalized form.
+    equal constraints compare equal: hypotheses enter only through
+    ``add_inequations``, and each equation travels through ``descend`` as
+    one ``_Facts`` record of its content-normalized form, made by
+    ``record`` when the equation is made: for the input system, for each
+    equation a substitution changes, and for step 4's ``c = 0`` branch.
+    An equation a substitution leaves alone keeps its record.
     """
     unknowns = tuple(unknowns)
     families: List[SolutionFamily] = []
-    memo: Dict[int, Tuple[Poly, _Facts]] = {}
 
-    def facts(q: Poly) -> _Facts:
-        seen = memo.get(id(q))
-        if seen is None:
-            p = _content_normalize(q)
-            seen = memo[id(q)] = (q, _facts(p, unknowns))
-            memo[id(p)] = (p, seen[1])
-        return seen[1]
+    def record(q: Poly) -> _Facts:
+        return _facts(_content_normalize(q), unknowns)
 
-    def normalize(eqs: Sequence[Poly], ineqs: Sequence[Poly]):
-        out: Dict[Poly, None] = {}
-        for q in eqs:
-            q = facts(q).equation
+    def normalize(eqs: Sequence[_Facts], ineqs: Sequence[Poly]):
+        out: Dict[Poly, _Facts] = {}
+        for r in eqs:
+            q = r.equation
             if q.is_zero():
                 continue
             if q.is_constant():
                 return None
-            out.setdefault(q)
+            out.setdefault(q, r)
         if not out.keys().isdisjoint(ineqs):
             return None
-        return list(out)
+        return list(out.values())
 
     def add_inequations(ineqs, q):
         """Extend the hypothesis list with the factors of q; None if q is 0."""
@@ -326,13 +303,23 @@ def case_split_solve(
         return out
 
     def substitute_all(eqs, ineqs, name, value: RationalValue):
+        """Hypotheses first, then equations; (None, None) at the first contradiction."""
         power = _powers(*value)
-        new_eqs = [_subst_rational(q, name, power) if name in facts(q).names else q for q in eqs]
         new_ineqs: Optional[List[Poly]] = []
         for q in ineqs:
             new_ineqs = add_inequations(new_ineqs, _subst_rational(q, name, power))
             if new_ineqs is None:
                 return None, None
+        new_eqs = []
+        for r in eqs:
+            if name in r.names:
+                q = _subst_rational(r.equation, name, power)
+                if q.is_zero():
+                    continue
+                if q.is_constant():
+                    return None, None
+                r = record(q)
+            new_eqs.append(r)
         return new_eqs, new_ineqs
 
     def emit(assign_order, residual, ineqs, labels):
@@ -352,9 +339,9 @@ def case_split_solve(
             )
         )
 
-    def assign_and_descend(eqs, q, name, value: RationalValue, assign_order, ineqs, labels,
+    def assign_and_descend(eqs, r, name, value: RationalValue, assign_order, ineqs, labels,
                            depth):
-        rest = [e for e in eqs if e is not q]
+        rest = [e for e in eqs if e is not r]
         new_eqs, new_ineqs = substitute_all(rest, ineqs, name, value)
         if new_eqs is None:
             return
@@ -370,40 +357,38 @@ def case_split_solve(
 
         # 1. Unknowns occurring linearly with a rational coefficient, taking
         #    the first equation, then the first unknown.
-        for q in eqs:
-            first = facts(q).first
-            if first is not None:
-                name, parts = first
+        for r in eqs:
+            if r.first is not None:
+                name, parts = r.first
                 value = RationalValue(-parts.get(0, Poly.zero()) / parts[1].constant_value())
-                assign_and_descend(eqs, q, name, value, assign_order, ineqs, labels, depth)
+                assign_and_descend(eqs, r, name, value, assign_order, ineqs, labels, depth)
                 return
 
         # 2. Univariate equations of degree <= 2 with rational roots.
-        for q in eqs:
-            names = facts(q).names
-            if len(names) != 1:
+        for r in eqs:
+            if len(r.names) != 1:
                 continue
-            (name,) = names
-            roots = _univariate_roots(q, name)
+            (name,) = r.names
+            roots = _univariate_roots(r.equation, name)
             if roots is None:
                 continue
             for root in roots:
                 assign_and_descend(
-                    eqs, q, name, RationalValue(Poly.const(root)), assign_order, ineqs,
+                    eqs, r, name, RationalValue(Poly.const(root)), assign_order, ineqs,
                     labels + [f"{name} = {root}"], depth - 1,
                 )
             return
 
         # 3. Monomial equations split into disjoint variable-vanishing branches.
         #    Equations are normalized, so a single term is not a constant.
-        for q in eqs:
-            if len(q.terms) != 1:
+        for r in eqs:
+            if len(r.equation.terms) != 1:
                 continue
-            names = sorted(facts(q).names)
+            names = sorted(r.names)
             hypotheses = list(ineqs)
             for pos, name in enumerate(names):
                 assign_and_descend(
-                    eqs, q, name, RationalValue(Poly.zero()), assign_order, hypotheses,
+                    eqs, r, name, RationalValue(Poly.zero()), assign_order, hypotheses,
                     labels + [f"{name} = 0"], depth - 1,
                 )
                 if pos + 1 < len(names):
@@ -416,23 +401,23 @@ def case_split_solve(
         # 4. Branch on a linear occurrence with a polynomial coefficient;
         #    prefer the fewest coefficient terms, then the fewest equation
         #    terms, then the name, and the first such occurrence.
-        linear = [(key, q) for q in eqs for key in facts(q).linear]
+        linear = [(key, r) for r in eqs for key in r.linear]
         if depth > 0 and linear:
-            (_, _, name), q = min(linear, key=lambda item: item[0])
-            parts = q.coeffs_in(name)
+            (_, _, name), r = min(linear, key=lambda item: item[0])
+            parts = r.equation.coeffs_in(name)
             c, d = parts[1], parts.get(0, Poly.zero())
             branch_ineqs = add_inequations(ineqs, c)
             if branch_ineqs is not None:
                 assign_and_descend(
-                    eqs, q, name, RationalValue(-d, c), assign_order, branch_ineqs,
+                    eqs, r, name, RationalValue(-d, c), assign_order, branch_ineqs,
                     labels + [f"{c} != 0"], depth - 1,
                 )
-            descend(eqs + [c], assign_order, ineqs, labels + [f"{c} = 0"], depth - 1)
+            descend(eqs + [record(c)], assign_order, ineqs, labels + [f"{c} = 0"], depth - 1)
             return
 
-        emit(assign_order, eqs, ineqs, labels + ["depth cap"])
+        emit(assign_order, [r.equation for r in eqs], ineqs, labels + ["depth cap"])
 
-    descend(list(equations), [], [], [], max_depth)
+    descend([record(q) for q in equations], [], [], [], max_depth)
     return families
 
 

@@ -217,14 +217,14 @@ def _cmd_classify(args) -> int:
             print("stage 1 (fixed reference vector e1):")
             fixed = postlie_stage1(mult, fixed_u=Element.basis(mult.dim, 0))
             print("  " + _render_stage(fixed, labels))
+    # Families share most of their values: print each distinct one once.
+    text = functools.lru_cache(maxsize=None)(str)
     if args.json:
-        # Families share most of their values: print each distinct one once.
-        text = functools.lru_cache(maxsize=None)(str)
         print(json.dumps([_family_payload(f, text) for f in families], indent=2))
         return 0
     for idx, family in enumerate(families, 1):
         print(f"family {idx}: {family.label}")
-        print(f"  {family.describe()}")
+        print(f"  {family.describe(text)}")
         tensor = family.tensor(ansatz)
         if tensor is not None:
             for line in tensor.render(labels, "*").splitlines():

@@ -420,34 +420,16 @@ def _expand_cleared(
     return [sum_of_products(p) for p in pairs], common
 
 
-def _monomial_generators(modulo: Sequence[Poly]) -> List[Dict[str, int]]:
-    """The exponent maps of the generators of a monomial ideal.
+def _monomial_generators(modulo: Sequence[Poly]) -> List[Poly]:
+    """The generators of a monomial ideal, checked.
 
     Each generator must be a single monomial of positive degree: zero
     generates nothing, and a constant would make every check hold.
     """
-    gens = []
     for g in modulo:
-        terms = list(g.monomials())
-        if len(terms) != 1 or not terms[0][0]:
+        if len(g.terms) != 1 or g.is_constant():
             raise ValueError(f"constraint {g} is not a single monomial of positive degree")
-        gens.append(dict(terms[0][0]))
-    return gens
-
-
-def _monomial_ideal_reduce(p: Poly, gens: Sequence[Dict[str, int]]) -> Poly:
-    """Remainder of ``p`` modulo the monomial ideal with these exponent maps."""
-    if not gens:
-        return p
-    kept = {}
-    for mono, coeff in p.monomials():
-        exps = dict(mono)
-        divisible = any(
-            all(exps.get(name, 0) >= e for name, e in gen.items()) for gen in gens
-        )
-        if not divisible:
-            kept[mono] = coeff
-    return Poly(kept)
+    return list(modulo)
 
 
 def _slots(mults: Union[Multiplication, Sequence[Multiplication]]) -> List[Multiplication]:
@@ -509,7 +491,7 @@ def check_identity(
         reduced: Dict[Poly, None] = {}
         for coordinate in result:
             for coeff in coordinate.split_by(generic).values():
-                reduced.setdefault(_monomial_ideal_reduce(coeff, gens))
+                reduced.setdefault(coeff.reduce_monomials(gens))
         # Distinct integer obstructions stay distinct divided by one constant.
         obstructions.extend(
             coeff if common == 1 else coeff / common for coeff in reduced if not coeff.is_zero()

@@ -16,7 +16,10 @@ the coefficients in one name or a set of names is a shift and a mask.
 Every exponent must be below 2**31 (``MAX_EXPONENT``): the top bit of each
 field is a guard, and a product or power that reaches it raises
 :class:`ExponentOverflow`, a ``ValueError``, instead of carrying into the
-next field.
+next field.  The guards also decide divisibility: m divides k iff
+``(k - m) & _GUARD == 0``, since a field of k below m's borrows and sets
+its guard bit (``reduce_monomials``).  The gcd of the monomials is the
+per-field minimum over the fields of the first key (``monomial_factor``).
 
 The layout is private to this module.  Outside it a monomial is readable: a
 tuple of ``(name, exponent)`` pairs sorted by name, with strictly positive
@@ -229,17 +232,35 @@ class Poly:
             bucket[key] = coeff
         return {e: _from_normalized(bucket) for e, bucket in groups.items()}
 
-    def coefficient(self, name: str) -> "Poly":
-        """The coefficient of ``name`` in a polynomial of degree <= 1 in it."""
-        parts = self.coeffs_in(name)
-        degree = max(parts, default=0)
-        if degree > 1:
-            raise ValueError(f"degree {degree} in {name}: {self}")
-        return parts.get(1, _ZERO)
+    def monomial_factor(self) -> Tuple["Poly", "Poly"]:
+        """``(m, q)`` with ``self == m * q``: m the monic gcd of the monomials, q in storage order.
 
-    def drop(self, name: str) -> "Poly":
-        """All terms not containing ``name``."""
-        return self.coeffs_in(name).get(0, _ZERO)
+        m is 1 when the terms share no name, and so for zero and constants.
+        """
+        keys = iter(self.terms)
+        fields = [(_SHIFT[name], exp) for name, exp in _decode(next(keys, 0))]
+        for key in keys:
+            if not fields:
+                break
+            fields = [(shift, min(exp, e)) for shift, exp in fields
+                      if (e := (key >> shift) & _FIELD)]
+        gcd = sum(exp << shift for shift, exp in fields)
+        if not gcd:
+            return _ONE, self
+        return (_from_normalized({gcd: 1}),
+                _from_normalized({key - gcd: c for key, c in self.terms.items()}))
+
+    def reduce_monomials(self, monomials) -> "Poly":
+        """The terms that no monomial of ``monomials`` divides (coefficients there are ignored).
+
+        This is the remainder modulo the monomial ideal they generate.
+        """
+        divisors = [m for g in monomials for m in g.terms]
+        if not divisors:
+            return self
+        guard = _GUARD
+        return _from_normalized({key: c for key, c in self.terms.items()
+                                 if all((key - m) & guard for m in divisors)})
 
     def split_by(self, names) -> Dict[Monomial, "Poly"]:
         """Group terms by their sub-monomial in ``names``.
@@ -357,7 +378,7 @@ class Poly:
         resolved = {name: _coerce_strict(value) for name, value in bindings.items()}
         pairs = []
         for key, coeff in self.terms.items():
-            free, rest = key, _from_normalized({0: 1})
+            free, rest = key, _ONE
             for name, e in _decode(key):
                 value = resolved.get(name)
                 if value is not None:
@@ -433,6 +454,9 @@ def _from_normalized(terms: Dict[int, Scalar]) -> Poly:
     p = object.__new__(Poly)
     object.__setattr__(p, "terms", terms)
     return p
+
+
+_ONE = _from_normalized({0: 1})
 
 
 def sum_of_products(pairs) -> Poly:

@@ -6,6 +6,8 @@ from contextlib import redirect_stdout
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kantor.algebra import Element, Multiplication, multiply
 from kantor.catalog import load_catalog
@@ -14,6 +16,7 @@ from kantor.classify import (
     RationalValue,
     SolutionFamily,
     _content_normalize,
+    _split_inequation,
     _univariate_roots,
     antisymmetric_ansatz,
     case_split_solve,
@@ -158,7 +161,9 @@ def kernel_basis(stage):
             if name == free:
                 vec.append(F(1))
             elif name in sol.assignments:
-                vec.append(sol.assignments[name].coefficient(free).constant_value())
+                parts = sol.assignments[name].coeffs_in(free)
+                assert max(parts, default=0) <= 1
+                vec.append(parts.get(1, Poly.zero()).constant_value())
             else:
                 vec.append(F(0))
         vectors.append(vec)
@@ -544,3 +549,59 @@ def test_case_split_step4_pivot_tie_break(system, coefficient):
     families = case_split_solve([parse_poly(q) for q in system], list("abcdefghij"), max_depth=1)
     assert families[0].label.startswith(f"{coefficient} != 0")
     assert any(f.label.startswith(f"{coefficient} = 0") for f in families)
+
+
+def test_case_split_prunes_after_one_equation_vanishes_and_a_later_one_is_constant():
+    # Step 3 splits x*y = 0.  Its x = 0 branch turns x*z into 0 and then
+    # x*w - 1 into -1, so it is pruned; the y = 0 branch survives.
+    system = [parse_poly(q) for q in ["x*y", "x*z", "x*w - 1"]]
+    [family] = case_split_solve(system, list("wxyz"))
+    assert family.label == "y = 0; z = 0; -x != 0"
+    assert family.describe() == "w = (-1)/(-x); y = 0; z = 0; free: x; assuming: x != 0"
+    assert_case_split_invariants([family])
+
+
+def reference_split_inequation(q):
+    """The factors of q's monomial content and its normalized rest, on exponent dicts."""
+    common = None
+    for mono, _ in q.monomials():
+        exps = dict(mono)
+        if common is None:
+            common = exps
+        else:
+            common = {n: min(e, common[n]) for n, e in exps.items() if n in common}
+        if not common:
+            break
+    parts = [Poly.var(name) for name in sorted(common or {})]
+    if common:
+        stripped = {}
+        for mono, coeff in q.monomials():
+            exps = dict(mono)
+            for name, e in common.items():
+                exps[name] -= e
+            stripped[tuple(sorted((n, e) for n, e in exps.items() if e))] = coeff
+        rest = _content_normalize(Poly(stripped))
+    else:
+        rest = _content_normalize(q)
+    if not rest.is_constant():
+        parts.append(rest)
+    return parts
+
+
+_SPLIT_NAMES = ["x", "y", "z", "a1"]
+_split_polys = st.dictionaries(
+    st.dictionaries(st.sampled_from(_SPLIT_NAMES), st.integers(1, 3), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    ),
+    st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+    max_size=4,
+).map(Poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_split_polys)
+@example(Poly.const(F(-2, 3)))
+@example(parse_poly("-6*x^2*y*a1 + 3/2*x*y^3*a1 + 9*x*y*a1"))
+@example(parse_poly("4*z^3"))
+def test_split_inequation_matches_reference(q):
+    assert _split_inequation(q) == reference_split_inequation(q)

@@ -112,6 +112,15 @@ def test_cli_check_fractional_golden():
     assert out == (GOLDEN / "check_frac3.txt").read_text()
 
 
+def test_cli_check_monomial_constraint_golden():
+    # C8 carries the constraints c*f = a*b = b*c = 0: obstructions are reduced modulo them.
+    code, out, err = run_cli(
+        "check", "catalog:C8", "--id", "associative,jacobi,jordan,left_novikov,novikov_poisson_nvb"
+    )
+    assert code == 4 and err == ""
+    assert out == (GOLDEN / "check_C8.txt").read_text()
+
+
 def test_cli_square_fractional_golden():
     code, out, err = run_cli("square", str(GOLDEN / "frac3.json"))
     assert code == 0 and err == ""

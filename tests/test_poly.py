@@ -87,14 +87,6 @@ def test_split_by_groups_terms():
     assert rendered == {"u1": "alpha + b", "u2": "3", "1": "5"}
 
 
-def test_coefficient_and_drop():
-    p = parse_poly("alpha*u1 + 2*u1 + u2")
-    assert p.coefficient("u1") == parse_poly("alpha + 2")
-    assert p.drop("u1") == parse_poly("u2")
-    with pytest.raises(ValueError):
-        parse_poly("u1^2").coefficient("u1")
-
-
 def test_parse_errors():
     with pytest.raises(ParseError):
         parse_poly("u1 +")
@@ -336,3 +328,90 @@ def test_occurrences_agree_with_coeffs_in(p):
         if powers:
             expected[name] = (sum(len(c.terms) for c in powers.values()), max(powers))
     assert p.occurrences() == expected
+
+
+# -- monomial content and divisibility, against readable-dict references --------
+
+def reference_monomial_factor(p):
+    """The common monomial of p's terms and p divided by it, on exponent dicts."""
+    common = None
+    for mono, _ in p.monomials():
+        exps = dict(mono)
+        if common is None:
+            common = exps
+        else:
+            common = {n: min(e, common[n]) for n, e in exps.items() if n in common}
+        if not common:
+            break
+    stripped = {}
+    for mono, coeff in p.monomials():
+        exps = dict(mono)
+        for name, e in (common or {}).items():
+            exps[name] -= e
+        stripped[tuple(sorted((n, e) for n, e in exps.items() if e))] = coeff
+    return Poly({tuple(sorted((common or {}).items())): 1}), Poly(stripped)
+
+
+def reference_reduce_monomials(p, gens):
+    """The terms of p that no generator's exponent dict divides."""
+    kept = {}
+    for mono, coeff in p.monomials():
+        exps = dict(mono)
+        divisible = any(
+            all(exps.get(name, 0) >= e for name, e in dict(g).items()) for g in gens
+        )
+        if not divisible:
+            kept[mono] = coeff
+    return Poly(kept)
+
+
+def generators(names):
+    return st.lists(monomials(names).filter(bool), max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(NAMES + REVERSED))
+@example(Poly.zero())
+@example(Poly.const(F(-3, 4)))
+@example(parse_poly("1/2*u1^3*b^2*w_a - 3*u1^2*b*w_a^2 + 2/3*u1*b^4*w_a"))
+def test_monomial_factor_matches_reference(p):
+    m, q = p.monomial_factor()
+    assert m * q == p
+    assert q.monomial_factor()[0] == 1
+    assert (m, q) == reference_monomial_factor(p)
+    # q keeps p's storage order.
+    assert [mono for mono, _ in q.monomials()] == [
+        mono for mono, _ in reference_monomial_factor(p)[1].monomials()
+    ]
+
+
+def test_monomial_factor_examples():
+    p = parse_poly("6*u1^2*alpha*b - 3/2*u1*alpha^3")
+    assert p.monomial_factor() == (parse_poly("u1*alpha"), parse_poly("6*u1*b - 3/2*alpha^2"))
+    assert parse_poly("u1 + 1").monomial_factor() == (1, parse_poly("u1 + 1"))
+    assert parse_poly("-2/3*u2^4").monomial_factor() == (parse_poly("u2^4"), F(-2, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(NAMES + REVERSED), generators(NAMES + REVERSED + FRESH))
+@example(Poly.zero(), [(("u1", 1),)])
+@example(Poly.const(F(5, 7)), [(("b", 2),)])
+@example(parse_poly("u1*alpha + 1/2*u1^2 - alpha"), [])
+# A generator in a name absent from p divides none of its terms.
+@example(parse_poly("u1*alpha + 1/2*u1^2 - alpha"), [(("r_2", 1),)])
+def test_reduce_monomials_matches_reference(p, gens):
+    expected = reference_reduce_monomials(p, gens)
+    assert p.reduce_monomials([Poly({g: F(3, 2)}) for g in gens]) == expected
+    if not gens:
+        assert p.reduce_monomials([]) is p
+
+
+def test_reduce_monomials_by_a_name_registered_later():
+    p = parse_poly("3*u1*b^2 + u1 - 2/3*b")
+    late = Poly.var("reduce_late_name")
+    # Seen first after p's names, so every k - m below is negative.
+    assert max(p.terms) < min(late.terms)
+    assert p.reduce_monomials([late]) == p
+    assert p.reduce_monomials([late * Poly.var("u1")]) == p
+    assert (p * late + p).reduce_monomials([late]) == p
+    assert p.reduce_monomials([parse_poly("b^2"), parse_poly("u1*b")]) == parse_poly("u1 - 2/3*b")
