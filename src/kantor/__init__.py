@@ -46,7 +46,7 @@ from .identities import (
     probe_cb_cl,
 )
 from .linsolve import LinearSolution, solve_linear
-from .poly import Poly, parse_poly, poly_substitute
+from .poly import Poly, parse_poly
 from .product import kantor_product, kantor_square, right_kantor_product, symbolic_vector
 from .un import UnElement, elementary, render_un_table, un_bracket, un_table
 
@@ -89,7 +89,6 @@ __all__ = [
     "parse_poly",
     "poisson_stage1",
     "poisson_structures",
-    "poly_substitute",
     "postlie_stage1",
     "postlie_structures",
     "probe_cb_cl",

@@ -372,10 +372,24 @@ class Poly:
     # -- substitution ------------------------------------------------------
 
     def substitute(self, bindings: Mapping[str, "Poly | Scalar"]) -> "Poly":
-        """Replace indeterminates by polynomials; unbound names stay symbolic."""
+        """Replace indeterminates by polynomials; unbound names stay symbolic.
+
+        ``TypeError`` if any bound value is not a polynomial or an exact
+        scalar, used here or not; only the bindings of names present are
+        coerced.
+        """
         if not bindings:
             return self
-        resolved = {name: _coerce_strict(value) for name, value in bindings.items()}
+        for value in bindings.values():
+            if not isinstance(value, (Poly, int, Fraction)):
+                _coerce_strict(value)  # raises TypeError
+        resolved = {}
+        for name, _ in _decode(functools.reduce(operator.or_, self.terms, 0)):
+            value = bindings.get(name)
+            if value is not None:
+                resolved[name] = _coerce_strict(value)
+        if not resolved:
+            return self
         pairs = []
         for key, coeff in self.terms.items():
             free, rest = key, _ONE
@@ -506,11 +520,6 @@ def _coerce_strict(value) -> Poly:
 
 def _format_power(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
-
-
-def poly_substitute(p: Poly, bindings: Mapping[str, Poly | Scalar]) -> Poly:
-    """Functional form of :meth:`Poly.substitute`."""
-    return p.substitute(bindings)
 
 
 # -- parsing ---------------------------------------------------------------

@@ -17,10 +17,13 @@ left product is the action of L on the tensor of B:
 
     [[A, B]]_ij^k = sum_m B_ij^m L_mk - sum_m L_im B_mj^k - sum_m L_jm B_im^k.
 
-``left_operator`` builds L with n calls of ``multiply``, and ``act`` walks
-the nonzero entries B_ij^m once, so each costs a few polynomial products;
-a caller pairing one L with many B (``un_table``) finds L's nonzero
-entries once with ``_sparse`` and hands them to ``_act``.  In this row
+``left_operator`` builds L with n calls of ``multiply`` on basis vectors
+made once per dimension, and ``act`` walks the nonzero entries B_ij^m
+once, so each costs a few polynomial products.  A caller pairing one L
+with many B (``un_table``) finds L's nonzero entries once with ``_sparse``
+and calls ``_act``, which returns the bare entry map (0-based keys, values
+possibly zero) for the caller to wrap; ``act`` wraps it as a tensor.
+-B_ij^m is formed only when a column of L meets i or j.  In this row
 convention a matrix D is a derivation of B iff ``act(D, B)`` is zero.
 
 ``kantor_product`` runs over the integers: with D_A * A and D_B * B cleared
@@ -35,7 +38,8 @@ u-coordinates.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import functools
+from typing import Dict, List, Sequence, Tuple
 
 from .algebra import Element, Multiplication, _clear_denominators, _from_entries, multiply
 from .errors import DimMismatch
@@ -59,10 +63,15 @@ def _resolve_u(a: Multiplication, b: Multiplication, u: Element | None) -> Eleme
     return u
 
 
+@functools.lru_cache(maxsize=None)
+def _basis(n: int) -> Tuple[Element, ...]:
+    """e_1, ..., e_n; elements are immutable, so one tuple serves every call."""
+    return tuple(Element.basis(n, i) for i in range(n))
+
+
 def left_operator(a: Multiplication, u: Element) -> List[Tuple[Poly, ...]]:
     """The rows of L, the matrix of x -> a(u, x): row i holds a(u, e_i)."""
-    n = a.dim
-    return [multiply(a, u, Element.basis(n, i)).coords for i in range(n)]
+    return [multiply(a, u, e).coords for e in _basis(a.dim)]
 
 
 def _sparse(lu: Sequence[Sequence[Poly]]):
@@ -75,11 +84,11 @@ def _sparse(lu: Sequence[Sequence[Poly]]):
 
 def act(lu: Sequence[Sequence[Poly]], b: Multiplication) -> Multiplication:
     """The tensor (x, y) -> L(b(x, y)) - b(Lx, y) - b(x, Ly), for L with rows ``lu``."""
-    return _act(_sparse(lu), b)
+    return _from_entries(b.dim, _act(_sparse(lu), b))
 
 
-def _act(sparse, b: Multiplication) -> Multiplication:
-    """``act`` for L given by ``_sparse``.
+def _act(sparse, b: Multiplication) -> Dict[Tuple[int, int, int], Poly]:
+    """``act``'s entries for L given by ``_sparse``: 0-based keys, values possibly zero.
 
     One walk over B collects each entry's pairs ``(B_ij^m, L_mk)`` and
     ``(-B_ij^m, L_ri)``; each entry is then one ``sum_of_products`` call.
@@ -89,12 +98,13 @@ def _act(sparse, b: Multiplication) -> Multiplication:
     for (i, j, m), entry in b.entries.items():
         for k, c in rows[m]:
             out.setdefault((i, j, k), []).append((entry, c))
-        neg = -entry
-        for r, c in cols[i]:
-            out.setdefault((r, j, m), []).append((neg, c))
-        for r, c in cols[j]:
-            out.setdefault((i, r, m), []).append((neg, c))
-    return _from_entries(b.dim, {key: sum_of_products(pairs) for key, pairs in out.items()})
+        if cols[i] or cols[j]:
+            neg = -entry
+            for r, c in cols[i]:
+                out.setdefault((r, j, m), []).append((neg, c))
+            for r, c in cols[j]:
+                out.setdefault((i, r, m), []).append((neg, c))
+    return {key: sum_of_products(pairs) for key, pairs in out.items()}
 
 
 def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = None) -> Multiplication:

@@ -7,7 +7,14 @@ back into elementary multiplications; the reference vector defaults to
 the first basis vector v_1, which is the choice that reproduces the
 classical U(2) table.  ``un_table`` builds each elementary tensor and the
 nonzero entries of its operator x -> a(u, x) once, n^3 of each, and lets
-every operator act on every tensor: n^4 ``multiply`` calls in all.
+every operator act on every tensor: n^4 ``multiply`` calls in all.  Each
+bracket goes from the contraction's entry map (``product._act``) straight
+to its ``UnElement``, through ``UnElement._from_entries``: no tensor is
+built in between and nothing is checked twice.  An operator that is zero
+(u_i = 0 for a(i,j)^k) gives zero rows without acting.  The public
+constructor ``UnElement(n, coeffs)`` still checks every index and coerces
+every coefficient; either way ``coeffs`` holds nonzero values in sorted
+index order.
 """
 
 from __future__ import annotations
@@ -59,8 +66,24 @@ class UnElement:
         return UnElement(n, {(i, j, k): Poly.const(1)})
 
     @staticmethod
+    def _from_entries(n: int, entries: Dict[Index, Poly]) -> "UnElement":
+        """The element with these in-range, 0-based entries, trusted as they are.
+
+        Keys are made 1-based and sorted and zero values dropped, as
+        ``UnElement(n, m.table())`` would, but nothing is checked again.
+        """
+        element = object.__new__(UnElement)
+        object.__setattr__(element, "n", n)
+        object.__setattr__(element, "coeffs", {
+            (i + 1, j + 1, k + 1): value
+            for (i, j, k), value in sorted(entries.items())
+            if not value.is_zero()
+        })
+        return element
+
+    @staticmethod
     def from_mult(m: Multiplication) -> "UnElement":
-        return UnElement(m.dim, m.table())
+        return UnElement._from_entries(m.dim, m.entries)
 
     def to_mult(self) -> Multiplication:
         return Multiplication.from_table(self.n, dict(self.coeffs))
@@ -125,12 +148,17 @@ def un_table(n: int, u: Element | None = None) -> List[Tuple[Index, Index, UnEle
     u = _reference_vector(n, u)
     indices = basis_indices(n)
     tensors = [elementary(*idx, n) for idx in indices]
-    operators = [_sparse(left_operator(x, u)) for x in tensors]
-    return [
-        (first, second, UnElement.from_mult(_act(sparse, y)))
-        for first, sparse in zip(indices, operators)
-        for second, y in zip(indices, tensors)
-    ]
+    rows = []
+    for first, x in zip(indices, tensors):
+        sparse = _sparse(left_operator(x, u))
+        if any(sparse[0]):
+            rows.extend(
+                (first, second, UnElement._from_entries(n, _act(sparse, y)))
+                for second, y in zip(indices, tensors)
+            )
+        else:
+            rows.extend((first, second, UnElement(n)) for second in indices)
+    return rows
 
 
 def render_un_table(rows: Sequence[Tuple[Index, Index, UnElement]]) -> str:

@@ -242,6 +242,19 @@ def test_cli_un_table_golden():
     assert out == (GOLDEN / "un2.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (("--dim", "3"), "un3.txt"),
+        (("--dim", "3", "--u", "u=(1,3/2,-1)"), "un3_rational.txt"),
+    ],
+)
+def test_cli_un_table_dim3_golden(args, golden):
+    code, out, _ = run_cli("un-table", *args)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_cli_un_table_symbolic_u_golden():
     code, out, _ = run_cli("un-table", "--dim", "2", "--u", "sym")
     assert code == 0

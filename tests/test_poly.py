@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kantor.errors import ExponentOverflow, ParseError
-from kantor.poly import MAX_EXPONENT, Poly, parse_poly, poly_substitute, sum_of_products
+from kantor.poly import MAX_EXPONENT, Poly, parse_poly, sum_of_products
 
 NAMES = ["u1", "u2", "alpha", "b"]
 # Seen first in reverse alphabetical order, so printing and parsing cannot
@@ -65,9 +65,9 @@ def test_basic_arithmetic():
 
 def test_substitute_examples():
     u1, u3 = Poly.var("u1"), Poly.var("u3")
-    assert poly_substitute(u1 * u3, {"u3": Poly.zero()}) == 0
+    assert (u1 * u3).substitute({"u3": Poly.zero()}) == 0
     p = u1 + Poly.var("u2")
-    assert poly_substitute(p, {}) == p
+    assert p.substitute({}) == p
     family = parse_poly("(2-alpha)*u4")
     assert family.substitute({"alpha": Poly.const(2)}) == 0
 
@@ -113,6 +113,50 @@ def test_substitution_is_a_ring_homomorphism(p, q, s1, s2):
     bindings = {"u1": s1, "alpha": s2}
     assert (p * q).substitute(bindings) == p.substitute(bindings) * q.substitute(bindings)
     assert (p + q).substitute(bindings) == p.substitute(bindings) + q.substitute(bindings)
+
+
+def former_substitute(p, bindings):
+    """``Poly.substitute`` as it was when it coerced every binding up front."""
+    from kantor import poly as module
+
+    if not bindings:
+        return p
+    resolved = {name: module._coerce_strict(value) for name, value in bindings.items()}
+    pairs = []
+    for key, coeff in p.terms.items():
+        free, rest = key, module._ONE
+        for name, e in module._decode(key):
+            value = resolved.get(name)
+            if value is not None:
+                free -= e << module._SHIFT[name]
+                rest = rest * value ** e
+        pairs.append((module._from_normalized({free: coeff}), rest))
+    return sum_of_products(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    polys(NAMES + REVERSED),
+    st.dictionaries(
+        st.sampled_from(NAMES + REVERSED + ["never_in_a_poly"]),
+        st.one_of(polys(NAMES), fractions(), st.integers(-3, 3)),
+        max_size=4,
+    ),
+)
+def test_substitute_matches_the_former_body_in_storage_order(p, bindings):
+    out = p.substitute(bindings)
+    expected = former_substitute(p, bindings)
+    assert out == expected
+    assert list(out.terms.items()) == list(expected.terms.items())
+
+
+def test_substitute_rejects_inexact_values_even_for_unused_names():
+    p = parse_poly("u1*u2 + 1")
+    for bindings in ({"u1": 0.5}, {"b": 0.5}, {"u1": 1, "never_in_a_poly": "1"}, {"u2": None}):
+        with pytest.raises(TypeError):
+            p.substitute(bindings)
+    with pytest.raises(TypeError):
+        Poly.const(3).substitute({"u1": 1.0})
 
 
 @settings(max_examples=80, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from kantor.algebra import Element, multiply
+from kantor.algebra import Element, Multiplication, multiply
 from kantor.errors import DimMismatch, IndexOutOfRange
 from kantor.poly import Poly
 from kantor.product import kantor_product, symbolic_vector
@@ -33,6 +33,28 @@ def test_decompose_round_trip():
             decomposed = UnElement.from_mult(m)
             assert decomposed.coeffs == {idx: Poly.const(1)}
             assert decomposed.to_mult() == m
+
+
+def random_tensor(rng, n):
+    """A sparse tensor with rational and symbolic entries, some of which cancel."""
+    values = [1, -1, F(3, 2), F(-2, 5), "alpha", "u1 - 2*alpha", "u1^2"]
+    table = {
+        (rng.randint(1, n), rng.randint(1, n), rng.randint(1, n)): rng.choice(values)
+        for _ in range(rng.randint(0, 2 * n))
+    }
+    m = Multiplication.from_table(n, table)
+    cancel = {key: -value for key, value in list(m.table().items())[::2]}
+    return m + Multiplication.from_table(n, cancel)
+
+
+def test_from_mult_agrees_with_the_checked_constructor():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 3)
+        m = random_tensor(rng, n)
+        trusted, checked = UnElement.from_mult(m), UnElement(m.dim, m.table())
+        assert trusted == checked
+        assert list(trusted.coeffs.items()) == list(checked.coeffs.items())
 
 
 def test_dim_one_bracket():
@@ -111,16 +133,18 @@ def test_un_table_matches_a_plain_contraction():
 
 
 def test_un_table_agrees_with_un_bracket():
-    rng = random.Random(7)
-    n = 2
-    u = Element([Poly.const(F(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(n)])
-    for v in (u, symbolic_vector(n)):
-        for first, second, value in un_table(n, v):
-            assert value == un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n), v)
-    assert un_table(n) == [
-        (first, second, un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n)))
-        for first in basis_indices(n) for second in basis_indices(n)
-    ]
+    for n in (2, 3):
+        rng = random.Random(7)
+        u = Element([Poly.const(F(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(n)])
+        zero_coordinate = Element([F(3, 2), F(0), F(-1)][:n])
+        for v in (u, zero_coordinate, symbolic_vector(n)):
+            for first, second, value in un_table(n, v):
+                expected = un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n), v)
+                assert list(value.coeffs.items()) == list(expected.coeffs.items()), (first, second)
+        assert un_table(n) == [
+            (first, second, un_bracket(UnElement.basis(*first, n), UnElement.basis(*second, n)))
+            for first in basis_indices(n) for second in basis_indices(n)
+        ]
 
 
 def test_un_table_rejects_a_reference_vector_of_the_wrong_dimension():
@@ -128,3 +152,11 @@ def test_un_table_rejects_a_reference_vector_of_the_wrong_dimension():
         un_table(2, Element.zero(3))
     with pytest.raises(DimMismatch):
         un_bracket(UnElement.basis(1, 1, 1, 2), UnElement.basis(1, 1, 1, 2), Element.zero(3))
+
+
+def test_un_table_rows_are_sorted_and_hold_no_zero_coefficient():
+    n = 3
+    for u in (None, Element([F(2), F(0), F(-1, 3)]), symbolic_vector(n)):
+        for _, _, value in un_table(n, u):
+            assert list(value.coeffs) == sorted(value.coeffs)
+            assert not any(c.is_zero() for c in value.coeffs.values())
