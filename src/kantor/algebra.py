@@ -25,7 +25,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linsolve
 from .errors import DimMismatch, SymbolicEntries
-from .poly import Poly, parse_poly, sum_of_products
+from .poly import Poly, parse_poly, substitute_each, sum_of_products
 
 _ZERO = Poly.zero()
 
@@ -118,7 +118,7 @@ class Element:
         return tuple(c.constant_value() for c in self.coords)
 
     def substitute(self, bindings) -> "Element":
-        return Element([c.substitute(bindings) for c in self.coords])
+        return Element(substitute_each(self.coords, bindings))
 
     def names(self) -> set:
         out = set()
@@ -212,7 +212,7 @@ class Multiplication:
 
     def substitute(self, bindings) -> "Multiplication":
         return _from_entries(
-            self.dim, {key: e.substitute(bindings) for key, e in self.entries.items()}
+            self.dim, dict(zip(self.entries, substitute_each(self.entries.values(), bindings)))
         )
 
     def __add__(self, other: "Multiplication") -> "Multiplication":

@@ -313,7 +313,13 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first ``main`` call and reused.
+
+    Parsing keeps no state in the parser (each call gets a fresh
+    namespace), so one parser serves every call in the process.
+    """
     parser = argparse.ArgumentParser(
         prog="kantor",
         description="Exact workbench for Kantor products of multiplications",

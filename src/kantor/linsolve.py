@@ -6,10 +6,13 @@ and pivots each column on the shortest pending row that has a nonzero
 there, so that elimination touches few entries (Markowitz, "The
 elimination form of the inverse", Management Science 3, 1957).  The
 reduced row echelon form of a matrix is unique, so neither the sparse
-storage nor the pivot choice can change a result.  On top of the matrix
-kernel sits ``solve_linear``, which takes polynomial equations that are
-affine in a designated unknown set and returns the full solution space
-with pivot unknowns expressed as affine polynomials in the free ones.
+storage nor the pivot choice can change a result.  The elimination core
+(``_eliminate``) takes the sparse rows; ``rref`` is a dense wrapper over
+it.  On top of the core sits ``solve_linear``, which takes polynomial
+equations that are affine in a designated unknown set and returns the
+full solution space with pivot unknowns expressed as affine polynomials
+in the free ones.  It drops exact duplicate equations (they span nothing
+new) and builds each sparse row straight from the equation's terms.
 """
 
 from __future__ import annotations
@@ -19,20 +22,22 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InconsistentSystem, NonlinearInput, SingularMatrix
-from .poly import Poly, sum_of_products
+from .poly import Poly, substitute_each, sum_of_products
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form (zero rows last, as many rows as given) and the pivot columns."""
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pending = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows]
+SparseRow = Dict[int, Fraction]
+
+
+def _eliminate(pending: List[SparseRow], ncols: int) -> Tuple[List[SparseRow], List[int]]:
+    """The nonzero rows of the reduced row echelon form and their pivot columns.
+
+    ``pending`` holds sparse rows without zero entries; it is consumed.
+    """
     pending = [row for row in pending if row]
-    reduced: List[Dict[int, Fraction]] = []
+    reduced: List[SparseRow] = []
     pivots: List[int] = []
     for col in range(ncols):
         if not pending:
@@ -57,6 +62,17 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
         pending = [row for row in pending if row]
         reduced.append(pivot)
         pivots.append(col)
+    return reduced, pivots
+
+
+def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
+    """Reduced row echelon form (zero rows last, as many rows as given) and the pivot columns."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    reduced, pivots = _eliminate(
+        [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows], ncols
+    )
     zero = Fraction(0)
     dense = [[row.get(c, zero) for c in range(ncols)] for row in reduced]
     return dense + [[zero] * ncols for _ in range(len(rows) - len(dense))], pivots
@@ -142,38 +158,37 @@ def solve_linear(system: Sequence[Poly], unknowns: Sequence[str]) -> LinearSolut
     :class:`InconsistentSystem` when no solution exists.
     """
     unknowns = list(unknowns)
-    index = {name: i for i, name in enumerate(unknowns)}
-    rows: Matrix = []
+    ncols = len(unknowns)
+    index = {((name, 1),): i for i, name in enumerate(unknowns)}
+    index[()] = ncols
+    # Exact duplicates add nothing to the row space; keep first occurrences.
+    system = list(dict.fromkeys(system))
+    rows: List[SparseRow] = []
     for p in system:
-        row = [Fraction(0)] * (len(unknowns) + 1)
+        row = {}
         for mono, coeff in p.monomials():
-            if not mono:
-                row[-1] += coeff
-                continue
-            if len(mono) != 1 or mono[0][1] != 1:
-                raise NonlinearInput(f"not affine in the unknowns: {p}")
-            name = mono[0][0]
-            if name not in index:
-                raise NonlinearInput(f"foreign symbol {name!r} in {p}")
-            row[index[name]] += coeff
+            col = index.get(mono)
+            if col is None:
+                if len(mono) != 1 or mono[0][1] != 1:
+                    raise NonlinearInput(f"not affine in the unknowns: {p}")
+                raise NonlinearInput(f"foreign symbol {mono[0][0]!r} in {p}")
+            row[col] = Fraction(coeff)
         rows.append(row)
 
-    reduced, pivots = rref(rows)
-    ncols = len(unknowns)
-    if ncols in pivots:
+    reduced, pivots = _eliminate(rows, ncols + 1)
+    if pivots and pivots[-1] == ncols:
         raise InconsistentSystem("system has no solution")
 
     assignments: Dict[str, Poly] = {}
-    pivot_set = set(pivots)
     for row, pcol in zip(reduced, pivots):
-        value = Poly.const(-row[-1])
-        for col in range(ncols):
-            if col != pcol and col not in pivot_set and row[col]:
-                value = value - Poly.var(unknowns[col]) * row[col]
-        assignments[unknowns[pcol]] = value
+        # A reduced row is zero in every other pivot column: the rest is free.
+        terms = {(): -row[ncols]} if ncols in row else {}
+        for col in sorted(row):
+            if col != pcol and col != ncols:
+                terms[((unknowns[col], 1),)] = -row[col]
+        assignments[unknowns[pcol]] = Poly(terms)
     free = tuple(name for name in unknowns if name not in assignments)
 
-    for p in system:
-        if not p.substitute(assignments).is_zero():
-            raise AssertionError("linear solve failed to satisfy the system")
+    if not all(p.is_zero() for p in substitute_each(system, assignments)):
+        raise AssertionError("linear solve failed to satisfy the system")
     return LinearSolution(tuple(unknowns), assignments, free)

@@ -43,9 +43,16 @@ A term that cancels by the end of a pair leaves the map, so terms are
 stored in the order of the running sum ``acc + a * b``, which the group
 order of ``split_by``, and so the order of identity obstructions, follows.
 
+Substitution checks and coerces its bindings once, then substitutes
+through one private entry (``_substitute``); ``substitute_each`` does that
+for many polynomials, such as the entries of a tensor, under one set of
+bindings.
+
 Printing uses a graded lexicographic term order (total degree first, then
 the name/exponent sequence), giving deterministic strings such as
-``-1/2*u1 + u3^2``.  ``parse_poly`` reads the same syntax back.
+``-1/2*u1 + u3^2``.  Each packed key's sort key and printed factors are
+cached per key (``_printed``), like its readable monomial (``_decode``).
+``parse_poly`` reads the same syntax back.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ import re
 import sys
 import threading
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .errors import ExponentOverflow, ParseError
 
@@ -123,9 +130,15 @@ def _decode(key: int) -> Monomial:
     return tuple(pairs)
 
 
-def _graded(term) -> tuple:
-    mono = term[0]
-    return (sum(e for _, e in mono), mono)
+@functools.lru_cache(maxsize=1 << 14)
+def _printed(key: int) -> Tuple[tuple, str]:
+    """A packed key's graded sort key (total degree, readable monomial) and its printed factors."""
+    mono = _decode(key)
+    factors = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in mono)
+    return (sum(e for _, e in mono), mono), factors
+
+
+_FIRST = operator.itemgetter(0)
 
 
 def _as_coeff(value) -> Scalar:
@@ -375,31 +388,11 @@ class Poly:
         """Replace indeterminates by polynomials; unbound names stay symbolic.
 
         ``TypeError`` if any bound value is not a polynomial or an exact
-        scalar, used here or not; only the bindings of names present are
-        coerced.
+        scalar, used here or not.
         """
         if not bindings:
             return self
-        for value in bindings.values():
-            if not isinstance(value, (Poly, int, Fraction)):
-                _coerce_strict(value)  # raises TypeError
-        resolved = {}
-        for name, _ in _decode(functools.reduce(operator.or_, self.terms, 0)):
-            value = bindings.get(name)
-            if value is not None:
-                resolved[name] = _coerce_strict(value)
-        if not resolved:
-            return self
-        pairs = []
-        for key, coeff in self.terms.items():
-            free, rest = key, _ONE
-            for name, e in _decode(key):
-                value = resolved.get(name)
-                if value is not None:
-                    free -= e << _SHIFT[name]
-                    rest = rest * value ** e
-            pairs.append((_from_normalized({free: coeff}), rest))
-        return sum_of_products(pairs)
+        return _substitute(self, _exact_bindings(bindings))
 
     def rename(self, names: Mapping[str, str]) -> "Poly":
         """Replace each name in ``names`` by its image, keeping coefficients and term order.
@@ -440,11 +433,11 @@ class Poly:
         if not self.terms:
             return "0"
         pieces = []
-        for mono, coeff in sorted(self.monomials(), key=_graded):
-            if not mono:
+        for (_, factors), coeff in sorted(zip(map(_printed, self.terms), self.terms.values()),
+                                          key=_FIRST):
+            if not factors:
                 body = str(abs(coeff))
             else:
-                factors = "*".join(_format_power(n, e) for n, e in mono)
                 body = factors if abs(coeff) == 1 else f"{abs(coeff)}*{factors}"
             if not pieces:
                 pieces.append(body if coeff > 0 else f"-{body}")
@@ -518,8 +511,39 @@ def _coerce_strict(value) -> Poly:
     return out
 
 
-def _format_power(name: str, exp: int) -> str:
-    return name if exp == 1 else f"{name}^{exp}"
+def _exact_bindings(bindings: Mapping[str, "Poly | Scalar"]) -> Dict[str, Poly]:
+    """Every binding as a ``Poly``; ``TypeError`` for any inexact value."""
+    return {name: _coerce_strict(value) for name, value in bindings.items()}
+
+
+def _substitute(p: Poly, bindings: Dict[str, Poly]) -> Poly:
+    """``p`` with each name bound in ``bindings`` (from ``_exact_bindings``) replaced."""
+    resolved = {}
+    for name, _ in _decode(functools.reduce(operator.or_, p.terms, 0)):
+        value = bindings.get(name)
+        if value is not None:
+            resolved[name] = value
+    if not resolved:
+        return p
+    pairs = []
+    for key, coeff in p.terms.items():
+        free, rest = key, _ONE
+        for name, e in _decode(key):
+            value = resolved.get(name)
+            if value is not None:
+                free -= e << _SHIFT[name]
+                power = value if e == 1 else value ** e
+                rest = power if rest is _ONE else rest * power
+        pairs.append((_from_normalized({free: coeff}), rest))
+    return sum_of_products(pairs)
+
+
+def substitute_each(polys: Iterable[Poly], bindings: Mapping[str, "Poly | Scalar"]) -> List[Poly]:
+    """``[p.substitute(bindings) for p in polys]``, checking and coercing ``bindings`` once."""
+    if not bindings:
+        return list(polys)
+    bindings = _exact_bindings(bindings)
+    return [_substitute(p, bindings) for p in polys]
 
 
 # -- parsing ---------------------------------------------------------------

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kantor.algebra import (
     Element,
@@ -381,3 +383,53 @@ def test_subspace_dimension_mismatches():
     heis = load_catalog(selftest=False)["heis3"].mult
     with pytest.raises(DimMismatch):
         centralizer(heis, Element([Poly.const(1)] * 4))
+
+
+NAMES = ["s", "t", "v"]
+
+
+def polys():
+    monomials = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 2), max_size=2).map(
+        lambda d: tuple(sorted(d.items()))
+    )
+    coeffs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    return st.dictionaries(monomials, coeffs, max_size=3).map(Poly)
+
+
+def bindings():
+    values = st.one_of(polys(), st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+                       st.integers(-2, 2))
+    return st.dictionaries(st.sampled_from(NAMES + ["unused"]), values, max_size=3)
+
+
+def _terms(p):
+    return list(p.terms.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.tuples(*[st.integers(1, 2)] * 3), polys(), max_size=6), bindings())
+def test_tensor_substitution_is_entrywise_substitution(table, binding):
+    m = Multiplication.from_table(2, table)
+    out = m.substitute(binding)
+    expected = {key: e.substitute(binding) for key, e in m.entries.items()}
+    expected = {key: e for key, e in expected.items() if not e.is_zero()}
+    assert list(out.entries) == list(expected)
+    assert [_terms(e) for e in out.entries.values()] == [_terms(e) for e in expected.values()]
+    x = Element(list(m.entries.values()))
+    assert [_terms(c) for c in x.substitute(binding).coords] == [
+        _terms(c.substitute(binding)) for c in x.coords
+    ]
+
+
+def test_tensor_substitution_rejects_inexact_values_even_for_unused_names():
+    m = Multiplication.from_table(2, {(1, 1, 2): parse_poly("t + 1")})
+    x = Element([parse_poly("t"), Poly.const(2)])
+    for binding in ({"t": 0.5}, {"never_in_an_entry": 0.5}, {"t": 1, "other": "1"}, {"t": None}):
+        with pytest.raises(TypeError):
+            m.substitute(binding)
+        with pytest.raises(TypeError):
+            x.substitute(binding)
+    with pytest.raises(TypeError):
+        Multiplication.zero(2).substitute({"t": 1.0})
+    with pytest.raises(TypeError):
+        Element.zero(2).substitute({"t": 1.0})

@@ -267,6 +267,7 @@ def test_cli_un_table_symbolic_u_golden():
         (("postlie", "catalog:heis3", "--json"), "classify_postlie_heis3.json"),
         (("postlie", "catalog:heis3"), "classify_postlie_heis3.txt"),
         (("poisson", "catalog:qt4", "--json"), "classify_poisson_qt4.json"),
+        (("generic-poisson", "catalog:qt4", "--json"), "classify_generic_poisson_qt4.json"),
         (("postlie", "catalog:zero2", "--json"), "classify_postlie_zero2.json"),
         (("postlie", "catalog:r2c", "--json"), "classify_postlie_r2c.json"),
         (("poisson", "catalog:heis4", "--json"), "classify_poisson_heis4.json"),
@@ -280,6 +281,33 @@ def test_cli_classify_golden(args, golden):
     code, out, _ = run_cli("classify", *args)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_reused_parser_keeps_no_state_between_calls():
+    first = run_cli("classify", "postlie", "catalog:r2c", "--json")
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(["catalog", "show"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+        main(["classify", "bogus", "catalog:r2c"])
+    assert exc.value.code == 2
+    again = run_cli("classify", "postlie", "catalog:r2c", "--json")
+    assert again == first
+    assert first[0] == 0 and first[1] == (GOLDEN / "classify_postlie_r2c.json").read_text()
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import kantor.cli as cli\n"
+        "assert cli._build_parser.cache_info().currsize == 0\n"
+        "assert cli.main(['catalog', 'list']) == 0\n"
+        "assert cli._build_parser.cache_info().currsize == 1\n"
+    )
+    src = str(Path(kantor.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_un_table_symbolic_u():

@@ -177,3 +177,93 @@ def test_sparse_rref_equals_the_dense_reference(case):
         else:
             with pytest.raises(SingularMatrix):
                 mat_inverse(square)
+
+
+UNKNOWNS = ["g1", "g2", "g3", "g4"]
+
+
+def former_solve_linear(system, unknowns):
+    """``solve_linear`` as it was with dense rows, no deduplication and the dense reference."""
+    index = {name: i for i, name in enumerate(unknowns)}
+    rows = []
+    for p in system:
+        row = [F(0)] * (len(unknowns) + 1)
+        for mono, coeff in p.monomials():
+            if mono:
+                row[index[mono[0][0]]] += coeff
+            else:
+                row[-1] += coeff
+        rows.append(row)
+    reduced, pivots = dense_rref(rows)
+    ncols = len(unknowns)
+    if ncols in pivots:
+        raise InconsistentSystem("system has no solution")
+    assignments = {}
+    for row, pcol in zip(reduced, pivots):
+        value = Poly.const(-row[-1])
+        for col in range(ncols):
+            if col != pcol and col not in pivots and row[col]:
+                value = value - Poly.var(unknowns[col]) * row[col]
+        assignments[unknowns[pcol]] = value
+    return assignments, tuple(name for name in unknowns if name not in assignments)
+
+
+@st.composite
+def affine_systems(draw):
+    """Affine equations in UNKNOWNS, with exact repeats, scaled copies and zeros mixed in."""
+    rows, _ = draw(matrices())
+    width = len(UNKNOWNS) + 1
+    system = [
+        Poly({((name, 1),) if i < len(UNKNOWNS) else (): x
+              for i, (name, x) in enumerate(zip(UNKNOWNS + [None], row[:width])) if x})
+        for row in rows
+    ]
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["repeat", "scale", "zero"]))
+        if kind == "zero" or not system:
+            new = Poly.zero()
+        else:
+            new = draw(st.sampled_from(system))
+            if kind == "scale":
+                new = new * draw(st.sampled_from([F(-1), F(2), F(1, 3)]))
+        system.insert(draw(st.integers(0, len(system))), new)
+    return system
+
+
+def _outcome(system):
+    try:
+        sol = solve_linear(system, UNKNOWNS)
+    except InconsistentSystem as exc:
+        return str(exc)
+    assignments = [(name, list(p.terms.items())) for name, p in sol.assignments.items()]
+    return assignments, sol.free, sol.unknowns
+
+
+@settings(max_examples=150, deadline=None)
+@given(affine_systems())
+def test_solve_linear_ignores_exact_duplicates(system):
+    distinct = []
+    for p in system:
+        if all(p != q for q in distinct):
+            distinct.append(p)
+    outcome = _outcome(system)
+    assert outcome == _outcome(distinct)
+    try:
+        assignments, free = former_solve_linear(system, UNKNOWNS)
+    except InconsistentSystem as exc:
+        assert outcome == str(exc)
+    else:
+        former = [(name, list(p.terms.items())) for name, p in assignments.items()]
+        assert outcome == (former, free, tuple(UNKNOWNS))
+
+
+def test_solve_linear_names_the_first_offending_equation_once():
+    ok, square, foreign = parse_poly("g1 - 1"), parse_poly("g1^2 + g2"), parse_poly("g1 + alpha")
+    for system, message in (
+        ([ok, square, ok, square, foreign], "not affine in the unknowns: g2 + g1^2"),
+        ([foreign, ok, foreign, square, square], "foreign symbol 'alpha' in alpha + g1"),
+        ([parse_poly("beta"), parse_poly("beta")], "foreign symbol 'beta' in beta"),
+    ):
+        with pytest.raises(NonlinearInput) as exc:
+            solve_linear(system, ["g1", "g2"])
+        assert str(exc.value) == message

@@ -165,6 +165,38 @@ def test_string_round_trip(p):
     assert parse_poly(str(p)) == p
 
 
+def former_str(p):
+    """``Poly.__str__`` as it was before printed monomials were cached per packed key."""
+    if p.is_zero():
+        return "0"
+
+    def graded(term):
+        mono = term[0]
+        return (sum(e for _, e in mono), mono)
+
+    pieces = []
+    for mono, coeff in sorted(p.monomials(), key=graded):
+        if not mono:
+            body = str(abs(coeff))
+        else:
+            factors = "*".join(n if e == 1 else f"{n}^{e}" for n, e in mono)
+            body = factors if abs(coeff) == 1 else f"{abs(coeff)}*{factors}"
+        if not pieces:
+            pieces.append(body if coeff > 0 else f"-{body}")
+        else:
+            pieces.append(f"+ {body}" if coeff > 0 else f"- {body}")
+    return " ".join(pieces)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(NAMES + REVERSED), polys(REVERSED), fractions())
+@example(Poly.zero(), Poly.zero(), F(0))
+@example(Poly.const(F(-7, 3)), Poly.var("w_a"), F(1, 2))
+def test_printing_matches_the_former_body(p, q, c):
+    for r in (p, q, p * q, p + q, p + c, p * c, Poly.const(c), p ** 2):
+        assert str(r) == former_str(r)
+
+
 @settings(max_examples=80, deadline=None)
 @given(polys(), polys())
 def test_hash_agrees_with_equality(p, q):
