@@ -145,9 +145,11 @@ class Multiplication:
     increasing index order, so the entries of one product ``e_i * e_j``
     are adjacent.  Every tensor is built by ``_from_entries``, which keeps
     that invariant; ``Multiplication(c)`` reads the dense form ``c[i][j][k]``.
+    ``_cleared``, when set, holds ``(d * self, d)`` as ``kantor_product``
+    built it (see ``_clear_denominators``).
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim", "entries", "_cleared")
 
     def __new__(cls, c: Sequence[Sequence[Sequence[object]]]) -> "Multiplication":
         dim = len(c)
@@ -260,7 +262,12 @@ def _from_entries(dim: int, entries: Dict[Tuple[int, int, int], Poly]) -> Multip
 
 
 def _clear_denominators(m: Multiplication) -> Tuple[Multiplication, int]:
-    """``(d * m, d)``, d the lcm of m's coefficient denominators (m itself if d = 1)."""
+    """``(d * m, d)`` with ``d * m`` integral: the pair recorded in ``m._cleared`` if set,
+    else d the lcm of m's coefficient denominators (m itself if d = 1).
+    """
+    cleared = getattr(m, "_cleared", None)
+    if cleared is not None:
+        return cleared
     d = 1
     for entry in m.entries.values():
         for coeff in entry.terms.values():

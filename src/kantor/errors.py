@@ -77,4 +77,9 @@ class ParseError(KantorError):
 
 
 class ExponentOverflow(KantorError, ValueError):
-    """A monomial exponent would pass ``poly.MAX_EXPONENT`` (2**31 - 1)."""
+    """A monomial exponent would pass ``poly.MAX_EXPONENT`` (2**15 - 1 = 32767).
+
+    The exponent fields of a packed monomial are 16 bits wide, one bit of
+    each a guard; an exponent past the bound raises this instead of
+    carrying into the next field.
+    """

@@ -10,16 +10,24 @@ A stored monomial is one ``int`` that packs its exponent vector (Monagan
 and Pearce, "Polynomial division using dynamic arrays, heaps, and packed
 exponent vectors", CASC 2007).  A process-wide registry gives each
 indeterminate name, in the order names are first seen, an index i; the
-exponent of name i sits in the 32-bit field at bit 32*i.  Multiplying two
-monomials is adding their ints, the constant monomial is ``0``, and taking
-the coefficients in one name or a set of names is a shift and a mask.
-Every exponent must be below 2**31 (``MAX_EXPONENT``): the top bit of each
-field is a guard, and a product or power that reaches it raises
-:class:`ExponentOverflow`, a ``ValueError``, instead of carrying into the
-next field.  The guards also decide divisibility: m divides k iff
-``(k - m) & _GUARD == 0``, since a field of k below m's borrows and sets
-its guard bit (``reduce_monomials``).  The gcd of the monomials is the
-per-field minimum over the fields of the first key (``monomial_factor``).
+exponent of name i sits in the 16-bit field at bit 16*i (``_WIDTH``, from
+which the whole layout derives).  Multiplying two monomials is adding their
+ints, the constant monomial is ``0``, and taking the coefficients in one
+name or a set of names is a shift and a mask.  Every exponent must be below
+2**15 (``MAX_EXPONENT``): the top bit of each field is a guard, and a
+product or power that reaches it raises :class:`ExponentOverflow`, a
+``ValueError``, instead of carrying into the next field.  The guards also
+decide divisibility: m divides k iff ``(k - m) & _GUARD == 0``, since a
+field of k below m's borrows and sets its guard bit (``reduce_monomials``).
+The gcd of the monomials is the per-field minimum over the fields of the
+first key (``monomial_factor``).
+
+Cost model: a key is as wide as the field width times the number of
+fields up to and including that of the last-registered name it uses, and
+key arithmetic (adding, hashing and comparing keys) costs in proportion to
+that width.  In a long-lived process
+that has registered many names a key can span hundreds of fields, which is
+why the fields are no wider than the exponents need.
 
 The layout is private to this module.  Outside it a monomial is readable: a
 tuple of ``(name, exponent)`` pairs sorted by name, with strictly positive
@@ -39,6 +47,8 @@ anywhere.
 Every product goes through one kernel, ``sum_of_products(pairs)``, which
 adds the term products of all ``(a, b)`` pairs into one term map, checks
 the guard bits once and normalizes once; ``a * b`` is its one-pair case.
+A pair with a constant side scales the other side's terms under their own
+keys, with no key arithmetic.
 A term that cancels by the end of a pair leaves the map, so terms are
 stored in the order of the running sum ``acc + a * b``, which the group
 order of ``split_by``, and so the order of identity obstructions, follows.
@@ -73,8 +83,10 @@ QQ = Fraction
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
 
-MAX_EXPONENT = (1 << 31) - 1
-_FIELD = (1 << 32) - 1
+# Bits per exponent field, a power of two; the top bit of each is its guard.
+_WIDTH = 16
+MAX_EXPONENT = (1 << (_WIDTH - 1)) - 1
+_FIELD = (1 << _WIDTH) - 1
 
 # The registry: name -> bit offset of its field, field index -> name, and
 # the guard bit of every registered field.  Lookups take no lock; only
@@ -93,9 +105,9 @@ def _shift(name: str) -> int:
         with _REGISTER:
             shift = _SHIFT.get(name)
             if shift is None:
-                shift = 32 * len(_NAMES)
+                shift = _WIDTH * len(_NAMES)
                 _NAMES.append(sys.intern(name))
-                _GUARD |= 1 << (shift + 31)
+                _GUARD |= 1 << (shift + _WIDTH - 1)
                 _SHIFT[_NAMES[-1]] = shift
     return shift
 
@@ -122,9 +134,9 @@ def _decode(key: int) -> Monomial:
     """The readable monomial of a packed key."""
     pairs = []
     while key:
-        shift = ((key & -key).bit_length() - 1) & ~31
+        shift = ((key & -key).bit_length() - 1) & -_WIDTH
         exp = (key >> shift) & _FIELD
-        pairs.append((_NAMES[shift >> 5], exp))
+        pairs.append((_NAMES[shift // _WIDTH], exp))
         key -= exp << shift
     pairs.sort()
     return tuple(pairs)
@@ -419,7 +431,7 @@ class Poly:
             if image is None:
                 image, rest = 0, part
                 while rest:
-                    shift = ((rest & -rest).bit_length() - 1) & ~31
+                    shift = ((rest & -rest).bit_length() - 1) & -_WIDTH
                     exp = (rest >> shift) & _FIELD
                     image += exp << targets[shift]
                     rest -= exp << shift
@@ -473,21 +485,34 @@ def sum_of_products(pairs) -> Poly:
     zeros: List[int] = []
     dropped = 0
     for a, b in pairs:
-        for m1, c1 in a.terms.items():
-            for m2, c2 in b.terms.items():
-                mono = m1 + m2
+        left, right = a.terms, b.terms
+        if len(right) == 1 and 0 in right:
+            left, right = right, left
+        if len(left) == 1 and 0 in left:
+            # A constant side: the other side's terms, scaled, under their own keys.
+            c1 = left[0]
+            for mono, c2 in right.items():
                 prev = get(mono)
                 out[mono] = coeff = c1 * c2 if prev is None else prev + c1 * c2
                 if not coeff:
                     zeros.append(mono)
+        else:
+            for m1, c1 in left.items():
+                for m2, c2 in right.items():
+                    mono = m1 + m2
+                    prev = get(mono)
+                    out[mono] = coeff = c1 * c2 if prev is None else prev + c1 * c2
+                    if not coeff:
+                        zeros.append(mono)
         # What cancels by the end of a pair leaves, as in ``acc + a * b``; see above.
         while zeros:
             mono = zeros.pop()
             if get(mono) == 0:
                 del out[mono]
                 dropped |= mono
-    # Fields below 2**31 sum below 2**32, so a field that overflowed shows
-    # its guard bit, in ``out`` or in a cancelled key, and nothing carried.
+    # Two fields below their guard bit sum below the field's top, so a field
+    # that overflowed shows its guard bit, in ``out`` or in a cancelled key,
+    # and nothing carried.
     if functools.reduce(operator.or_, out, dropped) & _GUARD:
         raise _overflow()
     return _from_normalized({

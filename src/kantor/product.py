@@ -29,7 +29,12 @@ convention a matrix D is a derivation of B iff ``act(D, B)`` is zero.
 ``kantor_product`` runs over the integers: with D_A * A and D_B * B cleared
 of denominators, it divides their product by D_A * D_B once.  Scaling by a
 nonzero constant keeps every cancellation, so each entry stores its terms
-in the same order as the rational product.
+in the same order as the rational product.  When u is integral too, the
+integer product and D_A * D_B stay on the result for
+``_clear_denominators``, so the identity checkers expand it over the
+integers without clearing it again.  The square's own lcm divides
+D_A * D_B, and the checkers scale a whole expansion by one constant, so
+their results and term orders are those of the lcm.
 
 When no u is supplied, a symbolic vector with fresh coordinates (u1, ...,
 un by default) is used, so the resulting tensor stays linear in the
@@ -118,7 +123,10 @@ def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = Non
     d = da * db
     if d == 1:
         return product
-    return _from_entries(product.dim, {key: e / d for key, e in product.entries.items()})
+    out = _from_entries(product.dim, {key: e / d for key, e in product.entries.items()})
+    if all(type(c) is int for x in u.coords for c in x.terms.values()):
+        object.__setattr__(out, "_cleared", (product, d))
+    return out
 
 
 def kantor_square(a: Multiplication, u: Element | None = None) -> Multiplication:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -281,6 +282,14 @@ def test_cli_classify_golden(args, golden):
     code, out, _ = run_cli("classify", *args)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_cli_classify_heis4_depth6_digest():
+    # The output is about 370 KB, so the golden is its sha256.
+    code, out, _ = run_cli("classify", "postlie", "catalog:heis4", "--max-depth", "6", "--json")
+    assert code == 0
+    digest = (GOLDEN / "classify_postlie_heis4_depth6.sha256").read_text().strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_reused_parser_keeps_no_state_between_calls():

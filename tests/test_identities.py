@@ -3,8 +3,17 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kantor.algebra import Element, Multiplication, annihilator, apply_basis_change, multiply
+from kantor.algebra import (
+    Element,
+    Multiplication,
+    _clear_denominators,
+    annihilator,
+    apply_basis_change,
+    multiply,
+)
 from kantor.catalog import load_catalog
 from kantor.errors import DimMismatch, SlotMismatch, SymbolicCoefficient, UnknownIdentity
 from kantor.identities import (
@@ -495,3 +504,57 @@ def test_ann_equality_failure_on_a_fractional_table():
         "-1/3*E2*x1_2*x2_2",
         "1/9*E2*x1_2*x2_2*x3_2",
     ]
+
+
+# -- Kantor squares that carry their integer tensor ---------------------------
+
+@st.composite
+def fractional_squares(draw):
+    """A random fractional table, its Kantor square under a symbolic, integral or rational u."""
+    dim = draw(st.integers(2, 3))
+    value = st.builds(F, st.sampled_from((-3, -2, -1, 1, 2, 3)), st.sampled_from((1, 2, 3, 4)))
+    keys = st.tuples(*[st.integers(1, dim)] * 3)
+    table = Multiplication.from_table(dim, draw(st.dictionaries(keys, value, min_size=1, max_size=12)))
+    kind = draw(st.sampled_from(["symbolic", "integral", "rational"]))
+    if kind == "symbolic":
+        u = None
+    else:
+        coord = st.integers(-2, 2) if kind == "integral" else value
+        u = Element([Poly.const(draw(coord)) for _ in range(dim)])
+    return table, kantor_square(table, u), kind
+
+
+def _outcome(check):
+    try:
+        verdict = check()
+    except SymbolicCoefficient as exc:
+        return str(exc)
+    return verdict.holds, [list(p.monomials()) for p in verdict.obstructions]
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_squares())
+def test_squares_check_like_freshly_built_equal_tensors(case):
+    table, square, kind = case
+    fresh = Multiplication.from_table(square.dim, square.table())
+    assert fresh == square
+    if kind == "integral":
+        # The square keeps the integer tensor and D^2 from kantor_product.
+        d = _clear_denominators(table)[1]
+        assert _clear_denominators(square)[1] == d * d
+    for name in ("jacobi", "jordan", "associative", "commutative"):
+        assert _outcome(lambda: check_identity(square, builtin(name))) == _outcome(
+            lambda: check_identity(fresh, builtin(name))
+        ), name
+    for name in ("leibniz_rule", "postlie_2"):
+        assert _outcome(lambda: check_identity([square, table], builtin(name))) == _outcome(
+            lambda: check_identity([fresh, table], builtin(name))
+        ), name
+    x, y = Var(0), Var(1)
+    xy = _spec("xy", 2, [(1, App(0, x, y))])
+    yx = _spec("yx", 2, [(1, App(0, y, x))])
+    if kind != "symbolic":
+        ann = annihilator(square)
+        assert _outcome(lambda: check_ann_equality(square, xy, yx, ann)) == _outcome(
+            lambda: check_ann_equality(fresh, xy, yx, ann)
+        )

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from kantor.algebra import Subspace
 from kantor.errors import InconsistentSystem, NonlinearInput, SingularMatrix
 from kantor.linsolve import (
+    LinearSolution,
+    _eliminate,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -16,7 +18,7 @@ from kantor.linsolve import (
     rref,
     solve_linear,
 )
-from kantor.poly import Poly, parse_poly
+from kantor.poly import Poly, parse_poly, substitute_each
 
 
 def test_rref_and_rank():
@@ -255,6 +257,70 @@ def test_solve_linear_ignores_exact_duplicates(system):
     else:
         former = [(name, list(p.terms.items())) for name, p in assignments.items()]
         assert outcome == (former, free, tuple(UNKNOWNS))
+
+
+def exact_dedupe_solve_linear(system, unknowns):
+    """``solve_linear`` as it was with exact-duplicate dropping only: every distinct row eliminated."""
+    unknowns = list(unknowns)
+    ncols = len(unknowns)
+    index = {((name, 1),): i for i, name in enumerate(unknowns)}
+    index[()] = ncols
+    system = list(dict.fromkeys(system))
+    rows = []
+    for p in system:
+        row = {}
+        for mono, coeff in p.monomials():
+            col = index.get(mono)
+            if col is None:
+                if len(mono) != 1 or mono[0][1] != 1:
+                    raise NonlinearInput(f"not affine in the unknowns: {p}")
+                raise NonlinearInput(f"foreign symbol {mono[0][0]!r} in {p}")
+            row[col] = F(coeff)
+        rows.append(row)
+    reduced, pivots = _eliminate(rows, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        raise InconsistentSystem("system has no solution")
+    assignments = {}
+    for row, pcol in zip(reduced, pivots):
+        terms = {(): -row[ncols]} if ncols in row else {}
+        for col in sorted(row):
+            if col != pcol and col != ncols:
+                terms[((unknowns[col], 1),)] = -row[col]
+        assignments[unknowns[pcol]] = Poly(terms)
+    free = tuple(name for name in unknowns if name not in assignments)
+    assert all(p.is_zero() for p in substitute_each(system, assignments))
+    return LinearSolution(tuple(unknowns), assignments, free)
+
+
+@st.composite
+def scaled_systems(draw):
+    """Affine systems where most equations reappear scaled, sometimes with a nonlinear one."""
+    system = draw(affine_systems())
+    scales = st.builds(F, st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    for _ in range(draw(st.integers(0, 6))):
+        if not system:
+            break
+        new = draw(st.sampled_from(system)) * draw(scales)
+        system.insert(draw(st.integers(0, len(system))), new)
+    if draw(st.integers(0, 4)) == 0:
+        bad = draw(st.sampled_from([parse_poly("g1*g2 + 1"), parse_poly("g3 - beta")]))
+        system.insert(draw(st.integers(0, len(system))), bad)
+    return system
+
+
+def _result(solve, system):
+    try:
+        sol = solve(system, UNKNOWNS)
+    except (InconsistentSystem, NonlinearInput) as exc:
+        return type(exc), str(exc)
+    assignments = [(name, list(p.terms.items())) for name, p in sol.assignments.items()]
+    return assignments, sol.free, sol.unknowns
+
+
+@settings(max_examples=200, deadline=None)
+@given(scaled_systems())
+def test_solve_linear_with_scaled_copies_matches_the_exact_dedupe_reference(system):
+    assert _result(solve_linear, system) == _result(exact_dedupe_solve_linear, system)
 
 
 def test_solve_linear_names_the_first_offending_equation_once():
