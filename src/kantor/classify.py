@@ -18,6 +18,13 @@ vectors e_1..e_n.  The fixed-reference variant of stage 1 (a weaker,
 tabulated filter) is also available for comparison via the ``fixed_u``
 argument.
 
+Stage-2 bookkeeping stays on ``Poly``'s packed keys: the facts the case
+split reads off each equation (its names, and the term count of each
+degree-1 name) come from one ``Poly.linear_counts()`` call, and content
+normalization picks its sign from ``Poly.first_coefficient()``.  A
+substitution passes the hypotheses that do not mention the substituted
+name through unchanged.
+
 Every returned family whose assignment is polynomial and which has no
 residual equations is re-verified against the defining identities of the
 structure by direct expansion.  Families with rational-function
@@ -104,8 +111,18 @@ class SolutionFamily:
         """Full unknown values at a rational point of the free parameters.
 
         Returns ``None`` when the point violates an inequation or a
-        residual equation.
+        residual equation.  ``TypeError`` for a value that is not an
+        ``int`` or a ``Fraction``; ``ValueError`` unless the point names
+        exactly the free unknowns.
         """
+        for name, v in point.items():
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"not an exact value for {name}: {v!r}")
+        if point.keys() != set(self.free):
+            missing = [name for name in self.free if name not in point]
+            extra = [name for name in point if name not in self.free]
+            raise ValueError(f"point must give exactly the free unknowns; "
+                             f"missing {missing}, extra {extra}")
         values: Dict[str, Fraction] = {name: Fraction(v) for name, v in point.items()}
         for q in self.inequations:
             if q.substitute(values).constant_value() == 0:
@@ -169,17 +186,20 @@ def _back_substitute(value: RationalValue, assignment: Mapping[str, RationalValu
 
 
 def _content_normalize(p: Poly) -> Poly:
-    """Divide by the rational content and fix the leading sign; p itself if already so."""
+    """Divide by the rational content and fix the leading sign; p itself if already so.
+
+    The leading coefficient is that of the least readable monomial
+    (``Poly.first_coefficient``), so no result depends on name registration order.
+    """
     if p.is_zero():
         return p
     coeffs = p.terms.values()
-    num_gcd = math.gcd(*(abs(c.numerator) for c in coeffs))
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    _, lead = min(p.monomials())
-    scale = Fraction(den_lcm if lead > 0 else -den_lcm, num_gcd)
-    return p if scale == 1 else p * scale
+    num_gcd = math.gcd(*(c.numerator for c in coeffs))
+    den_lcm = math.lcm(*(c.denominator for c in coeffs))
+    positive = p.first_coefficient() > 0
+    if positive and num_gcd == den_lcm:
+        return p
+    return p * Fraction(den_lcm if positive else -den_lcm, num_gcd)
 
 
 def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -224,28 +244,31 @@ def _split_inequation(q: Poly) -> List[Poly]:
 
 class _Facts(NamedTuple):
     equation: Poly
-    names: Dict[str, Tuple[int, int]]
+    names: set
     first: Optional[Tuple[str, Dict[int, Poly]]]
     linear: List[Tuple[int, int, str]]
 
 
-def _facts(q: Poly, unknowns: Sequence[str]) -> _Facts:
+def _facts(q: Poly, variables: Mapping[str, Poly]) -> _Facts:
     """What the case split reads off a content-normalized equation q.
 
-    ``names`` is ``q.occurrences()``; ``first`` is the first unknown with a
-    constant linear coefficient and q's ``coeffs_in`` map in it, or None;
-    ``linear`` holds step 4's (coefficient terms, equation terms, unknown)
-    of the linear occurrences before it, in unknown order.
+    ``names`` is q's name set and, with the term count of each degree-1
+    name, comes from one ``Poly.linear_counts()`` over the packed keys;
+    ``first`` is the first unknown with a constant linear coefficient and
+    q's ``coeffs_in`` map in it, or None; ``linear`` holds step 4's
+    (coefficient terms, equation terms, unknown) of the linear occurrences
+    before it, in unknown order.  ``variables`` maps each unknown, in
+    order, to its ``Poly.var``.
     """
-    names = q.occurrences()
+    names, counts = q.linear_counts()
     linear = []
-    for name in unknowns:
-        count, degree = names.get(name, (0, 0))
-        if degree != 1:
+    for name, var in variables.items():
+        count = counts.get(name)
+        if count is None:
             continue
         # With name in a single term, its coefficient is constant iff that
         # term is name itself.
-        if count == 1 and Poly.var(name).terms.keys() <= q.terms.keys():
+        if count == 1 and var.terms.keys() <= q.terms.keys():
             return _Facts(q, names, (name, q.coeffs_in(name)), linear)
         linear.append((count, len(q.terms), name))
     return _Facts(q, names, None, linear)
@@ -271,13 +294,16 @@ def case_split_solve(
     one ``_Facts`` record of its content-normalized form, made by
     ``record`` when the equation is made: for the input system, for each
     equation a substitution changes, and for step 4's ``c = 0`` branch.
-    An equation a substitution leaves alone keeps its record.
+    An equation a substitution leaves alone keeps its record, and so does a
+    hypothesis: each stored hypothesis is its own ``_split_inequation``, so
+    passing it through keeps the list, its order and its dedupe.
     """
     unknowns = tuple(unknowns)
+    variables = {name: Poly.var(name) for name in unknowns}
     families: List[SolutionFamily] = []
 
     def record(q: Poly) -> _Facts:
-        return _facts(_content_normalize(q), unknowns)
+        return _facts(_content_normalize(q), variables)
 
     def normalize(eqs: Sequence[_Facts], ineqs: Sequence[Poly]):
         out: Dict[Poly, _Facts] = {}
@@ -307,6 +333,11 @@ def case_split_solve(
         power = _powers(*value)
         new_ineqs: Optional[List[Poly]] = []
         for q in ineqs:
+            if name not in q.names():
+                # A stored hypothesis is its own split, so it passes through.
+                if q not in new_ineqs:
+                    new_ineqs.append(q)
+                continue
             new_ineqs = add_inequations(new_ineqs, _subst_rational(q, name, power))
             if new_ineqs is None:
                 return None, None

@@ -22,6 +22,16 @@ field of k below m's borrows and sets its guard bit (``reduce_monomials``).
 The gcd of the monomials is the per-field minimum over the fields of the
 first key (``monomial_factor``).
 
+Two reductions over the keys tell which names occur and how
+(``linear_counts``), with no per-term decode.  With ``low = _GUARD >>
+(_WIDTH - 1)``, bit 0 of every field: the OR of the keys holds the names,
+and ``OR & ~low`` is nonzero in a field exactly when its name has degree at
+least 2, so a name has degree 1 exactly when its field of the OR is 1.  The
+sum of ``key & low`` holds, in the field of each degree-1 name, the number
+of terms containing it; a count below 2**16 cannot carry into the next
+field, so this is exact for fewer than 2**16 terms, and above that the
+count is taken term by term.
+
 Cost model: a key is as wide as the field width times the number of
 fields up to and including that of the last-registered name it uses, and
 key arithmetic (adding, hashing and comparing keys) costs in proportion to
@@ -62,12 +72,16 @@ Printing uses a graded lexicographic term order (total degree first, then
 the name/exponent sequence), giving deterministic strings such as
 ``-1/2*u1 + u3^2``.  Each packed key's sort key and printed factors are
 cached per key (``_printed``), like its readable monomial (``_decode``).
+The sort key is flat, ``(degree, name1, exp1, name2, exp2, ...)``: names
+and exponents alternate in the same places in every key, so it orders terms
+exactly as ``(degree, readable monomial)`` does, with cheaper comparisons.
 ``parse_poly`` reads the same syntax back.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import re
 import sys
@@ -144,10 +158,14 @@ def _decode(key: int) -> Monomial:
 
 @functools.lru_cache(maxsize=1 << 14)
 def _printed(key: int) -> Tuple[tuple, str]:
-    """A packed key's graded sort key (total degree, readable monomial) and its printed factors."""
+    """A packed key's flat graded sort key and its printed factors.
+
+    The sort key ``(degree, name1, exp1, name2, exp2, ...)`` orders terms
+    as ``(degree, readable monomial)`` does, without nested tuples.
+    """
     mono = _decode(key)
     factors = "*".join(name if exp == 1 else f"{name}^{exp}" for name, exp in mono)
-    return (sum(e for _, e in mono), mono), factors
+    return (sum(e for _, e in mono), *itertools.chain.from_iterable(mono)), factors
 
 
 _FIRST = operator.itemgetter(0)
@@ -227,14 +245,34 @@ class Poly:
     def names(self) -> set:
         return {name for name, _ in _decode(functools.reduce(operator.or_, self.terms, 0))}
 
-    def occurrences(self) -> Dict[str, Tuple[int, int]]:
-        """Each name's ``(number of terms containing it, degree in it)``, in one pass."""
-        out: Dict[str, Tuple[int, int]] = {}
-        for key in self.terms:
-            for name, e in _decode(key):
-                seen = out.get(name)
-                out[name] = (1, e) if seen is None else (seen[0] + 1, max(seen[1], e))
-        return out
+    def linear_counts(self) -> Tuple[set, Dict[str, int]]:
+        """``(names, counts)``: the names, and each degree-1 name's number of terms.
+
+        Read off reductions over the packed keys with no per-term decode; see
+        the module docstring.
+        """
+        keys = self.terms
+        fields = _decode(functools.reduce(operator.or_, keys, 0))
+        names = {name for name, _ in fields}
+        # A field of the OR of the keys is 1 exactly when no key has a bit
+        # above bit 0 there, that is, when its name has degree 1.
+        linear = [name for name, e in fields if e == 1]
+        if not linear:
+            return names, {}
+        if len(keys) <= _FIELD:
+            # Each field of the sum of the low bits counts its terms, and a
+            # count below 2**16 cannot carry into the next field.
+            total = sum(map((_GUARD >> (_WIDTH - 1)).__and__, keys))
+            return names, {name: (total >> _SHIFT[name]) & _FIELD for name in linear}
+        return names, {name: sum((key >> _SHIFT[name]) & 1 for key in keys) for name in linear}
+
+    def first_coefficient(self) -> Scalar:
+        """The coefficient of the least readable monomial: the constant term, if any.
+
+        No answer depends on the order in which names were registered.
+        ``ValueError`` for the zero polynomial.
+        """
+        return self.terms[min(self.terms, key=_decode)]
 
     def coeffs_in(self, name: str) -> Dict[int, "Poly"]:
         """Coefficients of the powers of ``name``: p = sum_k coeffs[k] * name^k.

@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import random
 from contextlib import redirect_stdout
 from fractions import Fraction as F
@@ -605,3 +606,82 @@ _split_polys = st.dictionaries(
 @example(parse_poly("4*z^3"))
 def test_split_inequation_matches_reference(q):
     assert _split_inequation(q) == reference_split_inequation(q)
+
+
+def former_content_normalize(p):
+    """``_content_normalize`` as it was before it took the lead from ``Poly.first_coefficient``."""
+    if p.is_zero():
+        return p
+    coeffs = p.terms.values()
+    num_gcd = math.gcd(*(abs(c.numerator) for c in coeffs))
+    den_lcm = 1
+    for c in coeffs:
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    _, lead = min(p.monomials())
+    scale = F(den_lcm if lead > 0 else -den_lcm, num_gcd)
+    return p if scale == 1 else p * scale
+
+
+# Seen first in reverse alphabetical order, so packed order is not readable order.
+_NORMALIZE_NAMES = ["nz_d", "nz_c", "nz_b", "nz_a"]
+for _name in _NORMALIZE_NAMES:
+    Poly.var(_name)
+
+_normalize_polys = st.dictionaries(
+    st.dictionaries(st.sampled_from(_NORMALIZE_NAMES), st.integers(1, 3), max_size=3).map(
+        lambda d: tuple(sorted(d.items()))
+    ),
+    st.builds(F, st.integers(-12, 12), st.integers(1, 12)),
+    max_size=5,
+).map(Poly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_normalize_polys)
+@example(Poly.zero())
+@example(Poly.const(F(-4, 9)))
+@example(parse_poly("-2/3*nz_d^2 + 4/9*nz_a*nz_c - 8*nz_b"))
+@example(parse_poly("nz_d - nz_a"))
+@example(parse_poly("6*nz_c*nz_a + 3/5*nz_a"))
+def test_content_normalize_matches_the_former_body(p):
+    got, expected = _content_normalize(p), former_content_normalize(p)
+    assert list(got.terms.items()) == list(expected.terms.items())
+    assert (got is p) == (expected is p)
+
+
+def test_a_substituted_hypothesis_meets_a_later_untouched_one():
+    # Step 4 pivots a, b and d on the hypotheses x, w and y, in that order;
+    # the last equation then reads x - y, and x := y turns the hypothesis x
+    # into y, which the untouched hypothesis y repeats.  The list keeps
+    # the first place of each and the order of the rest.
+    system = [parse_poly(q) for q in ["x*a - 1", "w*b - 1", "y*d - 1", "a*b*d*(x - y)"]]
+    [family] = case_split_solve(system, ["a", "b", "d", "w", "x", "y"])
+    assert family.label == "-x != 0; -w != 0; -y != 0"
+    assert [str(q) for q in family.inequations] == ["y", "w"]
+    assert family.describe() == (
+        "a = (-1)/(-y); b = (-1)/(-w); d = (-1)/(-y); x = y; free: w, y; "
+        "assuming: y != 0; w != 0"
+    )
+    assert_case_split_invariants([family])
+
+
+def test_evaluate_rejects_inexact_values():
+    g = Poly.var("g")
+    [family] = case_split_solve([g * Poly.var("h") - 1], ["g", "h"])
+    assert family.free == ("h",)
+    assert family.evaluate({"h": 2}) == {"g": F(1, 2), "h": F(2)}
+    assert family.evaluate({"h": F(1, 3)}) == {"g": F(3), "h": F(1, 3)}
+    for value in (1.5, 2.0, "2", None, Poly.const(2)):
+        with pytest.raises(TypeError):
+            family.evaluate({"h": value})
+
+
+def test_evaluate_needs_exactly_the_free_unknowns():
+    [family] = case_split_solve([Poly.var("g") * Poly.var("h") - 1], ["g", "h"])
+    with pytest.raises(ValueError, match=r"missing \['h'\]"):
+        family.evaluate({})
+    with pytest.raises(ValueError, match=r"extra \['zzz'\]"):
+        family.evaluate({"h": 2, "zzz": 1})
+    # A solved unknown is not a free one.
+    with pytest.raises(ValueError, match=r"missing \['h'\], extra \['g'\]"):
+        family.evaluate({"g": 2})

@@ -292,6 +292,15 @@ def test_cli_classify_heis4_depth6_digest():
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_cli_classify_heis4_depth8_digest():
+    # Depth 8 runs the residual substitutions of about 500 terms that depth 6
+    # only starts; the output is about 4.4 MB.
+    code, out, _ = run_cli("classify", "postlie", "catalog:heis4", "--max-depth", "8", "--json")
+    assert code == 0
+    digest = (GOLDEN / "classify_postlie_heis4_depth8.sha256").read_text().strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_reused_parser_keeps_no_state_between_calls():
     first = run_cli("classify", "postlie", "catalog:r2c", "--json")
     with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):

@@ -192,6 +192,9 @@ def former_str(p):
 @given(polys(NAMES + REVERSED), polys(REVERSED), fractions())
 @example(Poly.zero(), Poly.zero(), F(0))
 @example(Poly.const(F(-7, 3)), Poly.var("w_a"), F(1, 2))
+# A monomial that is a prefix of another, and names that are prefixes of each other.
+@example(parse_poly("u1*b - u1 + u1*b^2 + u1^2 - 2*b*u1^2"), Poly.var("w_a"), F(3))
+@example(parse_poly("g1_1*g1 + g1^2 - g1_1^2 + 3*g1 - g1_1"), parse_poly("w_b*w_b_1 - w_b"), F(-1))
 def test_printing_matches_the_former_body(p, q, c):
     for r in (p, q, p * q, p + q, p + c, p * c, Poly.const(c), p ** 2):
         assert str(r) == former_str(r)
@@ -488,18 +491,59 @@ def test_rename_refuses_to_merge_names(base, a, b, fresh):
     assert base.rename({a: REVERSED[0]}) == base
 
 
-@settings(max_examples=80, deadline=None)
+def reference_linear_counts(p, names):
+    """The names of p, and the term count of each degree-1 name, from ``coeffs_in``."""
+    found, counts = set(), {}
+    for name in names:
+        powers = {e: c for e, c in p.coeffs_in(name).items() if e}
+        if powers:
+            found.add(name)
+            if max(powers) == 1:
+                counts[name] = len(powers[1].terms)
+    return found, counts
+
+
+# w_d, w_c and w_b hold adjacent fields, in that order.
+_HIGH_NEXT_TO_LINEAR = parse_poly("w_d^32767*w_c")
+_LINEAR_NEXT_TO_HIGH = parse_poly("w_c^32767*w_d + w_d")
+_MANY_LINEAR_TERMS = sum(
+    (parse_poly(f"w_c*u1^{i} + {i + 1}*w_d^2*w_b^{i + 1}") for i in range(40)), Poly.zero()
+)
+
+
+@settings(max_examples=150, deadline=None)
 @given(polys(NAMES + REVERSED))
 @example(Poly.zero())
 @example(Poly.const(F(-3, 4)))
 @example(parse_poly("1/2*u1^2*b - 3*u1*alpha + u1 - 2/3"))
-def test_occurrences_agree_with_coeffs_in(p):
-    expected = {}
-    for name in NAMES + REVERSED:
-        powers = {e: c for e, c in p.coeffs_in(name).items() if e}
-        if powers:
-            expected[name] = (sum(len(c.terms) for c in powers.values()), max(powers))
-    assert p.occurrences() == expected
+@example(_HIGH_NEXT_TO_LINEAR)
+@example(_LINEAR_NEXT_TO_HIGH)
+@example(_MANY_LINEAR_TERMS)
+def test_linear_counts_agree_with_coeffs_in(p):
+    assert p.linear_counts() == reference_linear_counts(p, NAMES + REVERSED)
+
+
+def test_linear_counts_examples():
+    assert Poly.zero().linear_counts() == (set(), {})
+    assert Poly.const(F(5, 2)).linear_counts() == (set(), {})
+    # A full field next to a degree-1 name, on either side.
+    assert _HIGH_NEXT_TO_LINEAR.linear_counts() == ({"w_d", "w_c"}, {"w_c": 1})
+    assert _LINEAR_NEXT_TO_HIGH.linear_counts() == ({"w_d", "w_c"}, {"w_d": 2})
+    # 40 terms of w_c between fields of degree 2 and more.
+    assert _MANY_LINEAR_TERMS.linear_counts() == ({"w_d", "w_c", "w_b", "u1"}, {"w_c": 40})
+
+
+def test_linear_counts_past_the_field_bound():
+    # 2**16 terms each holding w_c once would carry out of w_c's field in a
+    # sum of the low bits, so that count is taken term by term.
+    powers = Poly({((("w_d", i),) if i else ()): 1 for i in range(256)})
+    grid = powers * powers.rename({"w_d": "w_b"})
+    assert len(grid.terms) == 1 << 16
+    p = Poly.var("w_c") * grid
+    assert p.linear_counts() == ({"w_d", "w_c", "w_b"}, {"w_c": 1 << 16})
+    below = p - Poly.var("w_c")
+    assert len(below.terms) == (1 << 16) - 1
+    assert below.linear_counts() == ({"w_d", "w_c", "w_b"}, {"w_c": (1 << 16) - 1})
 
 
 # -- monomial content and divisibility, against readable-dict references --------
