@@ -16,7 +16,16 @@ bracket; the worked two-dimensional classification pins both.  Both
 products are linear in u, so "for all u" is imposed at the n basis
 vectors e_1..e_n.  The fixed-reference variant of stage 1 (a weaker,
 tabulated filter) is also available for comparison via the ``fixed_u``
-argument.
+argument; it must have rational coordinates (``SymbolicEntries``
+otherwise).
+
+Each structure is decided once, in one immutable ``_Structure`` record: the
+ansatz symmetry, the slot the classified tensor takes beside the input,
+stage 1's vanishing Kantor products as slot pairs, the stage-2 identities
+(None for generic Poisson, whose answer is the linear stage) and the
+verification bundle.  One driver, ``_classify``, runs stage 2, the merge
+with stage 1 and re-verification for every record, so a new structure
+costs one record, one wrapper and one golden.
 
 Stage-2 bookkeeping stays on ``Poly``'s packed keys: the facts the case
 split reads off each equation (its names, and the term count of each
@@ -41,7 +50,7 @@ from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from .algebra import Algebra, Element, Multiplication
 from .errors import LieCheckFailed, SymbolicEntries
-from .identities import builtin, check_identity, reslot
+from .identities import IdentitySpec, builtin, check_identity, reslot
 from .linsolve import LinearSolution, solve_linear
 from .poly import Poly, sum_of_products
 from .product import kantor_product
@@ -175,7 +184,7 @@ def _back_substitute(value: RationalValue, assignment: Mapping[str, RationalValu
     """``value`` with the solved unknowns of ``assignment`` it mentions substituted, in order.
 
     Precondition: the values of ``assignment`` mention free unknowns only
-    (``emit`` builds them in reverse solve order; ``_merge_families`` passes
+    (``emit`` builds them in reverse solve order; ``_classify`` passes
     finished families), so no substitution brings in a solved name.
     """
     mentioned = value.num.names() | value.den.names()
@@ -297,7 +306,14 @@ def case_split_solve(
     An equation a substitution leaves alone keeps its record, and so does a
     hypothesis: each stored hypothesis is its own ``_split_inequation``, so
     passing it through keeps the list, its order and its dedupe.
+
+    ``TypeError`` unless ``max_depth`` is an ``int`` (not a ``bool``);
+    ``ValueError`` if it is negative.
     """
+    if not isinstance(max_depth, int) or isinstance(max_depth, bool):
+        raise TypeError(f"max_depth must be an int, got {max_depth!r}")
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     unknowns = tuple(unknowns)
     variables = {name: Poly.var(name) for name in unknowns}
     families: List[SolutionFamily] = []
@@ -500,76 +516,106 @@ def _mult_of(a) -> Multiplication:
     return mult
 
 
-def _linear_equations(
-    base: Multiplication, ansatz: Multiplication, sides: Sequence[str], fixed_u: Element | None
-) -> List[Poly]:
-    us = [Element.basis(base.dim, i) for i in range(base.dim)] if fixed_u is None else [fixed_u]
-    eqs: List[Poly] = []
-    for side in sides:
-        first, second = (ansatz, base) if side == "ansatz_first" else (base, ansatz)
-        for u in us:
-            eqs.extend(kantor_product(first, second, u).entries.values())
-    return eqs
+class _Structure(NamedTuple):
+    """What one classifier imposes.
+
+    Identities and Kantor products name two slots: the classified tensor
+    takes slot ``slot`` and the input the other one.
+    """
+
+    sign: int  # the ansatz: e_j*e_i = sign * e_i*e_j
+    slot: int
+    stage1: Tuple[Tuple[int, int], ...]  # slot pairs (i, j): [[i, j]] = 0 for all u
+    stage2: Optional[Tuple[IdentitySpec, ...]]  # None: the linear stage is the answer
+    verify: Tuple[IdentitySpec, ...]  # checked on every polynomial family without residuals
+    lie_input: bool = False
+
+    def ansatz(self, dim: int) -> Tuple[Multiplication, Tuple[str, ...]]:
+        return _ansatz(dim, self.sign)
+
+    def slots(self, base: Multiplication, tensor: Multiplication) -> List[Multiplication]:
+        return [base, tensor] if self.slot == 1 else [tensor, base]
 
 
-def _stage1(base, ansatz, unknowns, sides, fixed_u) -> LinearStage:
-    eqs = _linear_equations(base, ansatz, sides, fixed_u)
-    solution = solve_linear(eqs, unknowns)
-    tensor = ansatz.substitute(solution.assignments)
-    return LinearStage(tuple(unknowns), solution, ansatz, tensor)
-
-
-def poisson_stage1(a, fixed_u: Element | None = None) -> LinearStage:
-    """Linear stage of the Poisson classification (antisymmetric ansatz)."""
-    mult = _mult_of(a)
-    ansatz, unknowns = antisymmetric_ansatz(mult.dim)
-    return _stage1(mult, ansatz, unknowns, ("ansatz_first", "base_first"), fixed_u)
-
-
-def postlie_stage1(lie, fixed_u: Element | None = None) -> LinearStage:
-    """Linear stage of the post-Lie classification (symmetric ansatz)."""
-    mult = _mult_of(lie)
-    ansatz, unknowns = symmetric_ansatz(mult.dim)
-    return _stage1(mult, ansatz, unknowns, ("ansatz_first",), fixed_u)
-
-
-def _merge_families(
-    stage: LinearStage, branch_families: Sequence[SolutionFamily]
-) -> List[SolutionFamily]:
-    merged = []
-    for family in branch_families:
-        assignment = dict(family.assignment)
-        for pivot, affine in stage.solution.assignments.items():
-            assignment[pivot] = _back_substitute(RationalValue(affine), family.assignment)
-        merged.append(replace(family, unknowns=stage.unknowns, assignment=assignment))
-    return merged
-
-
-_ANTI_ON_BRACKET = reslot(builtin("anticommutative")[0], 2, {0: 1})
-_JACOBI_ON_BRACKET = reslot(builtin("jacobi")[0], 2, {0: 1})
-
-# Slot 0 is the base product, slot 1 the classified bracket.
-_POISSON_VERIFY = (
-    (_ANTI_ON_BRACKET, _JACOBI_ON_BRACKET)
-    + builtin("leibniz_rule")
-    + builtin("postlie_3")
+_JACOBI_ON_BRACKET = (reslot(builtin("jacobi")[0], 2, {0: 1}),)
+_GENERIC_POISSON = _Structure(
+    sign=-1, slot=1, stage1=((1, 0), (0, 1)), stage2=None,
+    verify=builtin("generic_poisson") + builtin("postlie_3"),
 )
-_GENERIC_POISSON_VERIFY = (_ANTI_ON_BRACKET,) + builtin("leibniz_rule") + builtin("postlie_3")
-# Slot 0 is the classified commutative product, slot 1 the Lie bracket.
-_POSTLIE_VERIFY = builtin("postlie_2") + builtin("postlie_3")
+_POISSON = _GENERIC_POISSON._replace(stage2=_JACOBI_ON_BRACKET,
+                                     verify=_JACOBI_ON_BRACKET + _GENERIC_POISSON.verify)
+_POSTLIE = _Structure(
+    sign=1, slot=0, stage1=((0, 1),), stage2=builtin("postlie_2"),
+    verify=builtin("postlie_2") + builtin("postlie_3"), lie_input=True,
+)
+# Keyed by the kinds of ``kantor classify``.
+_STRUCTURES = {"poisson": _POISSON, "generic-poisson": _GENERIC_POISSON, "postlie": _POSTLIE}
 
 
-def _reverify(stage: LinearStage, families, mults_of, bundle):
-    for family in families:
+def _stage1(structure: _Structure, a, fixed_u: Element | None) -> LinearStage:
+    base = _mult_of(a)
+    if fixed_u is None:
+        us = [Element.basis(base.dim, i) for i in range(base.dim)]
+    elif fixed_u.is_rational():
+        us = [fixed_u]
+    else:
+        raise SymbolicEntries("classification needs a rational reference vector")
+    ansatz, unknowns = structure.ansatz(base.dim)
+    tensors = structure.slots(base, ansatz)
+    eqs = [q for i, j in structure.stage1 for u in us
+           for q in kantor_product(tensors[i], tensors[j], u).entries.values()]
+    solution = solve_linear(eqs, unknowns)
+    return LinearStage(unknowns, solution, ansatz, ansatz.substitute(solution.assignments))
+
+
+def _classify(structure: _Structure, stage1, a, max_depth: int = 16,
+              require_lie: bool = True) -> List[SolutionFamily]:
+    """Stage 2, the merge with stage 1 and re-verification, for every structure.
+
+    ``stage1`` is the public stage-1 function, which each classifier passes
+    by its module-level name, so a wrapper installed on that name (as
+    ``benchmarks/tracer.py`` installs one) sees the stage run.
+    """
+    mult = _mult_of(a)
+    if structure.lie_input and require_lie:
+        verdict = check_identity(mult, builtin("anticommutative") + builtin("jacobi"))
+        if not verdict.holds:
+            raise LieCheckFailed(
+                f"input is not a Lie algebra: {[str(p) for p in verdict.obstructions]}"
+            )
+    stage = stage1(mult)
+    if structure.stage2 is None:
+        branches = [SolutionFamily(stage.free, {}, stage.free, (), (), "linear stage")]
+    else:
+        verdict = check_identity(structure.slots(mult, stage.tensor), structure.stage2)
+        branches = case_split_solve(list(verdict.obstructions), stage.free, max_depth)
+    families = []
+    for branch in branches:
+        assignment = dict(branch.assignment)
+        for pivot, affine in stage.solution.assignments.items():
+            assignment[pivot] = _back_substitute(RationalValue(affine), branch.assignment)
+        family = replace(branch, unknowns=stage.unknowns, assignment=assignment)
+        families.append(family)
         if family.equations or not family.is_polynomial():
             continue
-        tensor = family.tensor(stage.ansatz)
-        verdict = check_identity(mults_of(tensor), bundle)
+        verdict = check_identity(structure.slots(mult, family.tensor(stage.ansatz)),
+                                 structure.verify)
         if not verdict.holds:
             raise AssertionError(
                 f"classification produced an unsound family ({family.label}): "
                 f"{[str(p) for p in verdict.obstructions]}"
             )
+    return families
+
+
+def poisson_stage1(a, fixed_u: Element | None = None) -> LinearStage:
+    """Linear stage of the Poisson classification (antisymmetric ansatz)."""
+    return _stage1(_POISSON, a, fixed_u)
+
+
+def postlie_stage1(lie, fixed_u: Element | None = None) -> LinearStage:
+    """Linear stage of the post-Lie classification (symmetric ansatz)."""
+    return _stage1(_POSTLIE, lie, fixed_u)
 
 
 def poisson_structures(a, max_depth: int = 16) -> List[SolutionFamily]:
@@ -578,29 +624,12 @@ def poisson_structures(a, max_depth: int = 16) -> List[SolutionFamily]:
     Stage 1 imposes both mixed Kantor products vanishing for all u; stage
     2 imposes the Jacobi identity by case splitting.
     """
-    mult = _mult_of(a)
-    stage = poisson_stage1(a)
-    obstructions = check_identity(stage.tensor, builtin("jacobi")).obstructions
-    branches = case_split_solve(list(obstructions), stage.free, max_depth)
-    families = _merge_families(stage, branches)
-    _reverify(stage, families, lambda t: [mult, t], _POISSON_VERIFY)
-    return families
+    return _classify(_POISSON, poisson_stage1, a, max_depth)
 
 
 def generic_poisson_structures(a) -> List[SolutionFamily]:
     """The single linear family of generic Poisson brackets (no Jacobi stage)."""
-    mult = _mult_of(a)
-    stage = poisson_stage1(a)
-    family = SolutionFamily(
-        unknowns=stage.unknowns,
-        assignment={k: RationalValue(v) for k, v in stage.solution.assignments.items()},
-        free=stage.free,
-        equations=(),
-        inequations=(),
-        label="linear stage",
-    )
-    _reverify(stage, [family], lambda t: [mult, t], _GENERIC_POISSON_VERIFY)
-    return [family]
+    return _classify(_GENERIC_POISSON, poisson_stage1, a)
 
 
 def postlie_structures(lie, require_lie: bool = True, max_depth: int = 16) -> List[SolutionFamily]:
@@ -609,16 +638,4 @@ def postlie_structures(lie, require_lie: bool = True, max_depth: int = 16) -> Li
     Stage 1 solves x.[y,z] = [x.y, z] + [y, x.z] (linear); stage 2 imposes
     [x,y].z = x.(y.z) - y.(x.z) by case splitting.
     """
-    mult = _mult_of(lie)
-    if require_lie:
-        verdict = check_identity(mult, builtin("anticommutative") + builtin("jacobi"))
-        if not verdict.holds:
-            raise LieCheckFailed(
-                f"input is not a Lie algebra: {[str(p) for p in verdict.obstructions]}"
-            )
-    stage = postlie_stage1(lie)
-    obstructions = check_identity([stage.tensor, mult], builtin("postlie_2")).obstructions
-    branches = case_split_solve(list(obstructions), stage.free, max_depth)
-    families = _merge_families(stage, branches)
-    _reverify(stage, families, lambda t: [t, mult], _POSTLIE_VERIFY)
-    return families
+    return _classify(_POSTLIE, postlie_stage1, lie, max_depth, require_lie)

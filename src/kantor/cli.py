@@ -20,12 +20,11 @@ from . import catalog as catalog_mod
 from . import witt as witt_mod
 from .algebra import Element
 from .classify import (
-    antisymmetric_ansatz,
+    _STRUCTURES,
     generic_poisson_structures,
     poisson_structures,
     postlie_stage1,
     postlie_structures,
-    symmetric_ansatz,
 )
 from .errors import (
     CatalogSelfTestFailed,
@@ -204,13 +203,10 @@ def _cmd_classify(args) -> int:
     labels = algebra.labels
     if args.kind == "poisson":
         families = poisson_structures(mult, max_depth=args.max_depth)
-        ansatz, _ = antisymmetric_ansatz(mult.dim)
     elif args.kind == "generic-poisson":
         families = generic_poisson_structures(mult)
-        ansatz, _ = antisymmetric_ansatz(mult.dim)
     else:
         families = postlie_structures(mult, max_depth=args.max_depth)
-        ansatz, _ = symmetric_ansatz(mult.dim)
         if not args.json:
             print("stage 1 (all reference vectors):")
             print("  " + _render_stage(postlie_stage1(mult), labels))
@@ -222,6 +218,7 @@ def _cmd_classify(args) -> int:
     if args.json:
         print(json.dumps([_family_payload(f, text) for f in families], indent=2))
         return 0
+    ansatz, _ = _STRUCTURES[args.kind].ansatz(mult.dim)
     for idx, family in enumerate(families, 1):
         print(f"family {idx}: {family.label}")
         print(f"  {family.describe(text)}")
@@ -344,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("classify", help="classify compatible structures")
-    p.add_argument("kind", choices=["poisson", "generic-poisson", "postlie"])
+    p.add_argument("kind", choices=list(_STRUCTURES))
     p.add_argument("source")
     p.add_argument("--max-depth", type=int, default=16)
     p.add_argument("--json", action="store_true")

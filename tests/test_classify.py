@@ -14,6 +14,7 @@ from kantor.algebra import Element, Multiplication, multiply
 from kantor.catalog import load_catalog
 from kantor.cli import main
 from kantor.classify import (
+    _STRUCTURES,
     RationalValue,
     SolutionFamily,
     _content_normalize,
@@ -29,7 +30,7 @@ from kantor.classify import (
     symmetric_ansatz,
 )
 from kantor.errors import LieCheckFailed, SymbolicEntries
-from kantor.identities import builtin, check_identity
+from kantor.identities import builtin, check_identity, reslot
 from kantor.linsolve import nullspace, rank
 from kantor.poly import Poly, parse_poly
 
@@ -171,7 +172,7 @@ def kernel_basis(stage):
     return vectors
 
 
-def dense_oracle_rows(base, ansatz, unknowns, specs):
+def dense_oracle_rows(structure, base, ansatz, unknowns, specs):
     """Independent route: instantiate the defining identities on basis triples."""
     from kantor.identities import App, Var
 
@@ -186,7 +187,7 @@ def dense_oracle_rows(base, ansatz, unknowns, specs):
                         eval_term(term.right, mults, assignment))
 
     for spec in specs:
-        mults = [base, ansatz] if spec.nslots == 2 else [ansatz]
+        mults = structure.slots(base, ansatz) if spec.nslots == 2 else [ansatz]
         for assignment in itertools.product(basis, repeat=spec.nvars):
             total = Element.zero(n)
             for coeff, term in spec.terms:
@@ -209,31 +210,45 @@ def spans_equal(vs, ws, ncols):
     return r1 == r2 == rank(vs + ws)
 
 
-def test_poisson_stage1_completeness_oracle():
-    cat = load_catalog(selftest=False)
-    for key in ("J2", "AC3", "N3"):
-        mult = cat[key].mult
-        stage = poisson_stage1(mult)
-        ansatz, unknowns = antisymmetric_ansatz(mult.dim)
-        specs = builtin("leibniz_rule") + builtin("postlie_3")
-        rows = dense_oracle_rows(mult, ansatz, list(unknowns), specs)
-        oracle = nullspace(rows, len(unknowns))
-        assert spans_equal(kernel_basis(stage), oracle, len(unknowns)), key
+CATALOG = load_catalog(selftest=False)
+RATIONAL_KEYS = [key for key, entry in CATALOG.items() if entry.mult.is_rational()]
+LIE_KEYS = [key for key in RATIONAL_KEYS
+            if {"anticommutative", "jacobi"} <= set(CATALOG[key].tags)]
 
 
-def test_postlie_stage1_completeness_oracle():
-    cat = load_catalog(selftest=False)
-    for key in ("S2", "heis3"):
-        mult = cat[key].mult
-        stage = postlie_stage1(mult)
-        ansatz, unknowns = symmetric_ansatz(mult.dim)
-        # slot 0 of postlie_3 is the unknown commutative product
-        from kantor.identities import reslot
+def test_the_stage1_oracles_cover_the_catalog():
+    assert len(RATIONAL_KEYS) == 21
+    assert sorted(LIE_KEYS) == sorted(["S2", "heis3", "r2c", "heis4", "zero2"])
 
-        spec = reslot(builtin("postlie_3")[0], 2, {0: 1, 1: 0})
-        rows = dense_oracle_rows(mult, ansatz, list(unknowns), (spec,))
-        oracle = nullspace(rows, len(unknowns))
-        assert spans_equal(kernel_basis(stage), oracle, len(unknowns)), key
+
+# Stage 1 of each structure is equivalent to these identities: for Poisson
+# the Leibniz rule and its companion (the bracket in slot 1), for post-Lie
+# the third post-Lie identity (the commutative product in slot 0).
+@pytest.mark.parametrize("kind, stage1, specs, key", [
+    *(pytest.param("poisson", poisson_stage1, builtin("leibniz_rule") + builtin("postlie_3"),
+                   key, id=f"poisson-{key}") for key in RATIONAL_KEYS),
+    *(pytest.param("postlie", postlie_stage1, builtin("postlie_3"), key, id=f"postlie-{key}")
+      for key in LIE_KEYS),
+])
+def test_stage1_completeness_oracle(kind, stage1, specs, key):
+    structure = _STRUCTURES[kind]
+    mult = CATALOG[key].mult
+    stage = stage1(mult)
+    ansatz, unknowns = structure.ansatz(mult.dim)
+    assert stage.unknowns == unknowns and stage.ansatz == ansatz
+    rows = dense_oracle_rows(structure, mult, ansatz, list(unknowns), specs)
+    oracle = nullspace(rows, len(unknowns))
+    assert spans_equal(kernel_basis(stage), oracle, len(unknowns))
+
+
+@pytest.mark.parametrize("stage1", [poisson_stage1, postlie_stage1])
+def test_stage1_rejects_a_symbolic_reference_vector(stage1):
+    s2 = CATALOG["S2"].mult
+    with pytest.raises(SymbolicEntries):
+        stage1(s2, fixed_u=Element.symbolic("u", 2))
+    with pytest.raises(SymbolicEntries):
+        stage1(s2, fixed_u=Element([Poly.const(1), Poly.var("u2")]))
+    assert stage1(s2, fixed_u=Element([Poly.const(F(1, 2)), Poly.const(-3)])).unknowns
 
 
 # -- poisson classification ---------------------------------------------------
@@ -685,3 +700,55 @@ def test_evaluate_needs_exactly_the_free_unknowns():
     # A solved unknown is not a free one.
     with pytest.raises(ValueError, match=r"missing \['h'\], extra \['g'\]"):
         family.evaluate({"g": 2})
+
+
+# -- the structure records ----------------------------------------------------
+
+def test_each_structure_verifies_every_identity_it_verified_before():
+    def on_bracket(name):
+        return reslot(builtin(name)[0], 2, {0: 1})
+
+    generic = (on_bracket("anticommutative"),) + builtin("leibniz_rule") + builtin("postlie_3")
+    expected = {
+        "poisson": ((on_bracket("jacobi"),) + generic, ["base", "tensor"]),
+        "generic-poisson": (generic, ["base", "tensor"]),
+        "postlie": (builtin("postlie_2") + builtin("postlie_3"), ["tensor", "base"]),
+    }
+    assert _STRUCTURES.keys() == expected.keys()
+    for kind, (specs, slots) in expected.items():
+        structure = _STRUCTURES[kind]
+        assert set(specs) <= set(structure.verify), kind
+        assert structure.slots("base", "tensor") == slots, kind
+
+
+@pytest.mark.parametrize("classify, key", [
+    (poisson_structures, "heis4"),
+    (postlie_structures, "heis3"),
+])
+def test_an_unsound_stage2_family_is_caught(monkeypatch, classify, key):
+    # Leaving every stage-2 unknown free keeps the whole linear stage, which
+    # on these algebras is not a structure.
+    def everything_free(equations, unknowns, max_depth=16):
+        assert equations
+        return [SolutionFamily(tuple(unknowns), {}, tuple(unknowns), (), (), "all free")]
+
+    monkeypatch.setattr("kantor.classify.case_split_solve", everything_free)
+    with pytest.raises(AssertionError, match="unsound family \\(all free\\)"):
+        classify(CATALOG[key].mult)
+
+
+@pytest.mark.parametrize("max_depth, error", [
+    (-1, ValueError), (1.5, TypeError), (True, TypeError), ("4", TypeError), (None, TypeError),
+])
+def test_case_split_rejects_a_bad_max_depth(max_depth, error):
+    g = Poly.var("g")
+    with pytest.raises(error, match="max_depth"):
+        case_split_solve([g * g - g], ["g"], max_depth)
+    with pytest.raises(error, match="max_depth"):
+        postlie_structures(CATALOG["heis3"].mult, max_depth=max_depth)
+
+
+def test_case_split_accepts_depth_zero():
+    g1, g2 = Poly.var("g1"), Poly.var("g2")
+    (family,) = case_split_solve([g1 * g2 + g1 + g2], ["g1", "g2"], 0)
+    assert family.label == "depth cap" and family.equations

@@ -272,6 +272,8 @@ def test_cli_un_table_symbolic_u_golden():
         (("postlie", "catalog:zero2", "--json"), "classify_postlie_zero2.json"),
         (("postlie", "catalog:r2c", "--json"), "classify_postlie_r2c.json"),
         (("poisson", "catalog:heis4", "--json"), "classify_poisson_heis4.json"),
+        (("poisson", "catalog:heis4"), "classify_poisson_heis4.txt"),
+        (("generic-poisson", "catalog:heis4"), "classify_generic_poisson_heis4.txt"),
         (("postlie", "catalog:heis4", "--max-depth", "2", "--json"),
          "classify_postlie_heis4_depth2.json"),
         (("postlie", "catalog:heis4", "--max-depth", "4", "--json"),
