@@ -279,11 +279,6 @@ def _cmd_catalog(args) -> int:
         print("catalog self-test passed")
         return 0
     entries = catalog_mod.load_catalog(selftest=False)
-    if args.action == "export":
-        if not args.name or args.name not in entries:
-            raise _CliFailure(PARSE_FAILURE, f"no catalog entry named {args.name!r}")
-        print(render_algebra(entries[args.name].algebra), end="")
-        return 0
     if args.action == "list":
         for key, entry in sorted(entries.items()):
             pair = f" (+{entry.pair_kind})" if entry.pair is not None else ""
@@ -294,6 +289,9 @@ def _cmd_catalog(args) -> int:
     if key not in entries:
         raise _CliFailure(PARSE_FAILURE, f"no catalog entry named {key!r}")
     entry = entries[key]
+    if args.action == "export":
+        print(render_algebra(entry.algebra), end="")
+        return 0
     print(f"{key} (dim {entry.dim})")
     if entry.algebra.params:
         print("parameters: " + ", ".join(entry.algebra.params))
@@ -372,8 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "catalog" and args.action == "show" and not args.name:
-        parser.error("catalog show needs a name")
+    if args.command == "catalog" and args.action in ("show", "export") and not args.name:
+        parser.error(f"catalog {args.action} needs a name")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -11,17 +11,16 @@ Jordan identity.
 The expansion runs over the integers.  Each slot's tensor is scaled once
 by D_s, the lcm of its coefficient denominators, and each term of a spec
 by the powers of D_s its products lack, so the whole expansion is one
-constant prod_s D_s^top_s times the rational one.  Every coefficient is
-divided back by that constant before it is reduced or compared, so the
-obstructions, and their order, are those of the rational expansion, while
-the coefficients inside it stay integers whenever the spec's are.
+constant prod_s D_s^top_s times the rational one.  What the checkers
+return is divided back by that constant, so the obstructions are those of
+the rational expansion, while the coefficients inside it stay integers
+whenever the spec's are.
 
 Terms of one product-tree shape, such as Jacobi's (xy)z, (zx)y and (yz)x,
 are evaluated once; each other term of the shape is that value with its
 generic coordinates renamed (``Poly.rename``).  A renaming injective on
 the names present is an isomorphism of monomial monoids, so it gives the
-direct evaluation term for term and in storage order, which keeps the
-group order of ``split_by`` and so the order of the obstructions.
+direct evaluation term for term.
 
 The ``builtin`` registry returns, for each named variety, the tuple of
 identity specs that define it (several for bundled definitions such as
@@ -466,6 +465,12 @@ def check_identity(
     factor prod_s D_s^top_s: the obstructions are exactly those of the
     plain rational expansion.  A generator that is not a single monomial
     of positive degree raises ``ValueError`` before anything is expanded.
+
+    The obstructions come in one canonical order: by spec, then by
+    coordinate of the expansion, then by the readable generic monomial
+    they are the coefficient of (a tuple of ``(name, exponent)`` pairs,
+    compared as tuples), each kept at its first place only.  No order in
+    which a polynomial stores its terms shows in the result.
     """
     mults = _slots(mults)
     specs = _normalize_specs(spec)
@@ -490,8 +495,9 @@ def check_identity(
         result, common = _expand_cleared(one.terms, cleared, denominators, names)
         reduced: Dict[Poly, None] = {}
         for coordinate in result:
-            for coeff in coordinate.split_by(generic).values():
-                reduced.setdefault(coeff.reduce_monomials(gens))
+            groups = coordinate.split_by(generic)
+            for mono in sorted(groups):
+                reduced.setdefault(groups[mono].reduce_monomials(gens))
         # Distinct integer obstructions stay distinct divided by one constant.
         obstructions.extend(
             coeff if common == 1 else coeff / common for coeff in reduced if not coeff.is_zero()

@@ -58,10 +58,10 @@ Every product goes through one kernel, ``sum_of_products(pairs)``, which
 adds the term products of all ``(a, b)`` pairs into one term map, checks
 the guard bits once and normalizes once; ``a * b`` is its one-pair case.
 A pair with a constant side scales the other side's terms under their own
-keys, with no key arithmetic.
-A term that cancels by the end of a pair leaves the map, so terms are
-stored in the order of the running sum ``acc + a * b``, which the group
-order of ``split_by``, and so the order of identity obstructions, follows.
+keys, with no key arithmetic, so ``a + b`` and ``a - b`` are the kernel's
+pairs ``(a, 1), (b, +-1)``.  Coefficients that cancel stay in the map until
+the one normalization at the end; no caller reads the order in which a
+result stores its terms.
 
 Substitution checks and coerces its bindings once, then substitutes
 through one private entry (``_substitute``); ``substitute_each`` does that
@@ -350,24 +350,7 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if not self.terms:
-            return other
-        if not other.terms:
-            return self
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            prev = out.get(mono)
-            if prev is None:
-                out[mono] = coeff
-                continue
-            coeff = prev + coeff
-            if type(coeff) is not int and coeff.denominator == 1:
-                coeff = coeff.numerator
-            if coeff:
-                out[mono] = coeff
-            else:
-                del out[mono]
-        return _from_normalized(out)
+        return sum_of_products(((self, _ONE), (other, _ONE)))
 
     __radd__ = __add__
 
@@ -378,13 +361,13 @@ class Poly:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return sum_of_products(((self, _ONE), (other, _MINUS_ONE)))
 
     def __rsub__(self, other) -> "Poly":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return sum_of_products(((other, _ONE), (self, _MINUS_ONE)))
 
     def __mul__(self, other) -> "Poly":
         other = _coerce(other)
@@ -514,14 +497,13 @@ def _from_normalized(terms: Dict[int, Scalar]) -> Poly:
 
 
 _ONE = _from_normalized({0: 1})
+_MINUS_ONE = _from_normalized({0: -1})
 
 
 def sum_of_products(pairs) -> Poly:
     """The sum of ``a * b`` over an iterable of ``(Poly, Poly)`` pairs, built in one term map."""
     out: Dict[int, Scalar] = {}
     get = out.get
-    zeros: List[int] = []
-    dropped = 0
     for a, b in pairs:
         left, right = a.terms, b.terms
         if len(right) == 1 and 0 in right:
@@ -531,31 +513,21 @@ def sum_of_products(pairs) -> Poly:
             c1 = left[0]
             for mono, c2 in right.items():
                 prev = get(mono)
-                out[mono] = coeff = c1 * c2 if prev is None else prev + c1 * c2
-                if not coeff:
-                    zeros.append(mono)
+                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
         else:
             for m1, c1 in left.items():
                 for m2, c2 in right.items():
                     mono = m1 + m2
                     prev = get(mono)
-                    out[mono] = coeff = c1 * c2 if prev is None else prev + c1 * c2
-                    if not coeff:
-                        zeros.append(mono)
-        # What cancels by the end of a pair leaves, as in ``acc + a * b``; see above.
-        while zeros:
-            mono = zeros.pop()
-            if get(mono) == 0:
-                del out[mono]
-                dropped |= mono
+                    out[mono] = c1 * c2 if prev is None else prev + c1 * c2
     # Two fields below their guard bit sum below the field's top, so a field
-    # that overflowed shows its guard bit, in ``out`` or in a cancelled key,
-    # and nothing carried.
-    if functools.reduce(operator.or_, out, dropped) & _GUARD:
+    # that overflowed shows its guard bit in a key of ``out``, cancelled or
+    # not, and nothing carried.
+    if functools.reduce(operator.or_, out, 0) & _GUARD:
         raise _overflow()
     return _from_normalized({
         mono: coeff if type(coeff) is int or coeff.denominator != 1 else coeff.numerator
-        for mono, coeff in out.items()
+        for mono, coeff in out.items() if coeff
     }) if out else _ZERO
 
 

@@ -27,14 +27,12 @@ possibly zero) for the caller to wrap; ``act`` wraps it as a tensor.
 convention a matrix D is a derivation of B iff ``act(D, B)`` is zero.
 
 ``kantor_product`` runs over the integers: with D_A * A and D_B * B cleared
-of denominators, it divides their product by D_A * D_B once.  Scaling by a
-nonzero constant keeps every cancellation, so each entry stores its terms
-in the same order as the rational product.  When u is integral too, the
-integer product and D_A * D_B stay on the result for
+of denominators, it divides their product by D_A * D_B once.  When u is
+integral too, the integer product and D_A * D_B stay on the result for
 ``_clear_denominators``, so the identity checkers expand it over the
 integers without clearing it again.  The square's own lcm divides
 D_A * D_B, and the checkers scale a whole expansion by one constant, so
-their results and term orders are those of the lcm.
+their results are those of the lcm.
 
 When no u is supplied, a symbolic vector with fresh coordinates (u1, ...,
 un by default) is used, so the resulting tensor stays linear in the

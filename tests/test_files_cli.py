@@ -408,6 +408,18 @@ def test_cli_catalog_commands():
     assert exported.mult == load_catalog(selftest=False)["T13"].mult
 
 
+@pytest.mark.parametrize("action", ["show", "export"])
+def test_cli_catalog_entry_actions_need_a_name(action):
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, redirect_stderr(err):
+        main(["catalog", action])
+    assert exc.value.code == 2
+    assert f"catalog {action} needs a name" in err.getvalue()
+    assert "None" not in err.getvalue()
+    code, out, err = run_cli("catalog", action, "missing")
+    assert (code, out, err) == (2, "", "error: no catalog entry named 'missing'\n")
+
+
 def test_cli_bad_references():
     code, _, err = run_cli("square", "catalog:missing")
     assert code == 2

@@ -75,7 +75,8 @@ def plain_obstructions(mults, specs, modulo=()):
 
     Same obstructions, in the same order, as ``check_identity`` must give:
     the coefficients of the generic monomials, reduced by the monomial
-    ideal of ``modulo`` and deduplicated in order of appearance.
+    ideal of ``modulo``, by spec, coordinate and readable generic monomial,
+    and deduplicated in that order.
     """
     if isinstance(mults, Multiplication):
         mults = [mults]
@@ -91,7 +92,7 @@ def plain_obstructions(mults, specs, modulo=()):
         elements = [Element([Poly.var(n) for n in group]) for group in names]
         total = plain_combination(mults, spec.terms, elements)
         for coordinate in total.coords:
-            for coeff in coordinate.split_by(generic).values():
+            for _, coeff in sorted(coordinate.split_by(generic).items(), key=lambda group: group[0]):
                 kept = Poly({
                     mono: c for mono, c in coeff.monomials()
                     if not any(all(dict(mono).get(n, 0) >= e for n, e in gen.items()) for gen in gens)

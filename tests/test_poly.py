@@ -241,8 +241,6 @@ def test_sum_of_products_matches_running_sum(base, cut):
     expected = functools.reduce(lambda acc, pair: acc + pair[0] * pair[1], pairs, Poly.zero())
     result = sum_of_products(pairs)
     assert result == expected
-    # Terms are stored in the running sum's order, which split_by follows.
-    assert list(result.monomials()) == list(expected.monomials())
     assert sum_of_products(iter(pairs)) == expected
     _assert_canonical(result)
     assert sum_of_products(base[:cut] + [(-a, b) for a, b in base[:cut]]).is_zero()
@@ -354,15 +352,14 @@ def test_exponent_bound_on_adjacent_fields():
 
 
 def reference_sum_of_products(pairs):
-    """The kernel's running sum on readable monomials: what cancels by the end of a pair leaves."""
+    """The sum of the term products on readable monomials, with the zero coefficients left out."""
     out = {}
     for a, b in pairs:
         for m1, c1 in a.monomials():
             for m2, c2 in b.monomials():
                 mono = _mono_mul_reference(m1, m2)
                 out[mono] = out.get(mono, 0) + c1 * c2
-        out = {mono: c for mono, c in out.items() if c}
-    return list(out.items())
+    return {mono: c for mono, c in out.items() if c}
 
 
 def constants():
@@ -377,7 +374,7 @@ def constants():
 def test_constant_sides_match_the_reference_loop(base, cut):
     pairs = base + [(-a, b) for a, b in base[:cut]] + base[:cut]
     result = sum_of_products(pairs)
-    assert list(result.monomials()) == reference_sum_of_products(pairs)
+    assert dict(result.monomials()) == reference_sum_of_products(pairs)
     _assert_canonical(result)
     for a, b in base:
         for p, c in ((a, b), (b, a)):
