@@ -16,11 +16,12 @@ return is divided back by that constant, so the obstructions are those of
 the rational expansion, while the coefficients inside it stay integers
 whenever the spec's are.
 
-Terms of one product-tree shape, such as Jacobi's (xy)z, (zx)y and (yz)x,
-are evaluated once; each other term of the shape is that value with its
-generic coordinates renamed (``Poly.rename``).  A renaming injective on
-the names present is an isomorphism of monomial monoids, so it gives the
-direct evaluation term for term.
+A variable occurring once in every term is *linear*: the coefficient of
+its generic coordinate i is the spec evaluated at e_i (linearization, as
+in Zhevlakov et al., *Rings That Are Nearly Associative*, ch. 1), so only
+repeated variables stay generic.  Each product-tree shape, such as
+Jacobi's (xy)z, (zx)y and (yz)x, is evaluated once into a table from basis
+index tuples to nonzero values; its terms read it with indices permuted.
 
 The ``builtin`` registry returns, for each named variety, the tuple of
 identity specs that define it (several for bundled definitions such as
@@ -32,13 +33,15 @@ decorated one (bracket or circle).
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from .algebra import Element, Multiplication, Subspace, _clear_denominators, centralizer, multiply
-from .errors import DimMismatch, SlotMismatch, SymbolicCoefficient, SymbolicEntries, UnknownIdentity
-from .poly import Poly, sum_of_products
+from .errors import (DimMismatch, IndexOutOfRange, SlotMismatch, SymbolicCoefficient,
+                     SymbolicEntries, UnknownIdentity)
+from .poly import Monomial, Poly, sum_of_products
 
 
 class Term:
@@ -60,11 +63,31 @@ class App(Term):
 
 
 @dataclass(frozen=True)
+class _Generic(Term):
+    """A shape's leaf for a variable that stays a generic element."""
+
+    index: int
+
+
+@dataclass(frozen=True)
 class IdentitySpec:
+    """``sum c * term`` over variables in ``range(nvars)`` and slots in ``range(nslots)``."""
+
     name: str
     nvars: int
     nslots: int
     terms: Tuple[Tuple[Fraction, Term], ...]
+
+    def __post_init__(self):
+        stack = [term for _, term in self.terms]
+        while stack:
+            term = stack.pop()
+            if isinstance(term, App):
+                if not 0 <= term.slot < self.nslots:
+                    raise SlotMismatch(f"{self.name!r}: slot {term.slot} not in range({self.nslots})")
+                stack += (term.left, term.right)
+            elif not 0 <= term.index < self.nvars:
+                raise IndexOutOfRange(f"{self.name!r}: variable {term.index} not in range({self.nvars})")
 
 
 @dataclass(frozen=True)
@@ -74,6 +97,7 @@ class Verdict:
 
 
 SpecOrBundle = Union[IdentitySpec, Sequence[IdentitySpec]]
+_ONE = Poly.const(1)  # a basis vector's coordinate in an expansion table
 
 
 # -- spec construction helpers ----------------------------------------------
@@ -342,14 +366,6 @@ def fresh_generic_names(nvars: int, dim: int, avoid: Iterable[str]) -> List[List
     return [[f"{prefix}{v + 1}_{i + 1}" for i in range(dim)] for v in range(nvars)]
 
 
-def _eval_term(term: Term, mults: Sequence[Multiplication], elements: Sequence[Element]) -> Element:
-    if isinstance(term, Var):
-        return elements[term.index]
-    left = _eval_term(term.left, mults, elements)
-    right = _eval_term(term.right, mults, elements)
-    return multiply(mults[term.slot], left, right)
-
-
 def _slot_degree(term: Term, slot: int) -> int:
     """How many products of the given slot the term applies."""
     if isinstance(term, Var):
@@ -357,23 +373,62 @@ def _slot_degree(term: Term, slot: int) -> int:
     return (term.slot == slot) + _slot_degree(term.left, slot) + _slot_degree(term.right, slot)
 
 
-def _canonical(term: Term, order: List[int]) -> Term:
-    """The term with its variables renumbered by first occurrence, listed in ``order``."""
+def _leaves(term: Term) -> List[int]:
+    """The term's variables, left to right."""
+    return [term.index] if isinstance(term, Var) else _leaves(term.left) + _leaves(term.right)
+
+
+def _shape(term: Term, linear: Tuple[int, ...], order: List[int]) -> Term:
+    """The term with its linear variables numbered by position, listed in ``order``."""
     if isinstance(term, Var):
-        if term.index not in order:
-            order.append(term.index)
-        return Var(order.index(term.index))
-    return App(term.slot, _canonical(term.left, order), _canonical(term.right, order))
+        if term.index not in linear:
+            return _Generic(term.index)
+        order.append(term.index)
+        return Var(len(order) - 1)
+    return App(term.slot, _shape(term.left, linear, order), _shape(term.right, linear, order))
 
 
 @functools.lru_cache(maxsize=1 << 10)
-def _shapes(terms: Tuple[Tuple[Fraction, Term], ...]) -> Tuple[Tuple[Term, Tuple[int, ...]], ...]:
-    """Each term's ``(shape, order)``: (zx)y is shape (v0 v1) v2 with order (2, 0, 1)."""
-    out = []
+def _layout(terms: Tuple[Tuple[Fraction, Term], ...]):
+    """``(linear, shapes, layouts)``: the variables occurring once in every term, the
+    distinct shapes, and per term ``(s, perm)``: its shape is ``shapes[s]``, with
+    ``linear[i]`` at position ``perm[i]``.  Jacobi's (zx)y is (v0 v1) v2, perm (1, 2, 0).
+    """
+    leaves = [_leaves(term) for _, term in terms]
+    linear = tuple(v for v in sorted(set(leaves[0])) if all(vs.count(v) == 1 for vs in leaves))
+    shapes: Dict[Term, int] = {}
+    layouts = []
     for _, term in terms:
         order: List[int] = []
-        out.append((_canonical(term, order), tuple(order)))
-    return tuple(out)
+        shape = _shape(term, linear, order)
+        layouts.append((shapes.setdefault(shape, len(shapes)), tuple(map(order.index, linear))))
+    return linear, tuple(shapes), tuple(layouts)
+
+
+def _table(shape: Term, rows, dim: int, names) -> Dict[Tuple[int, ...], Dict[int, Poly]]:
+    """The shape's nonzero values ``{k: coordinate}`` by the basis index at each linear
+    position.  ``rows[s]`` is slot s's table: e_i * e_j is ``rows[s][i, j]``.
+    """
+    if isinstance(shape, Var):
+        return {(i,): {i: _ONE} for i in range(dim)}
+    if isinstance(shape, _Generic):
+        return {(): dict(enumerate(map(Poly.var, names[shape.index])))}
+    if isinstance(shape.left, Var) and isinstance(shape.right, Var):
+        return rows[shape.slot]
+    left, right = (_table(side, rows, dim, names) for side in (shape.left, shape.right))
+    out = {}
+    for (at_x, x), (at_y, y) in itertools.product(left.items(), right.items()):
+        pairs: Dict[int, List[Tuple[Poly, Poly]]] = {}
+        for (i, xi), (j, yj) in itertools.product(x.items(), y.items()):
+            row = rows[shape.slot].get((i, j))
+            if row:
+                factor = yj if xi is _ONE else xi if yj is _ONE else xi * yj
+                for k, c in row.items():
+                    pairs.setdefault(k, []).append((factor, c))
+        value = {k: v for k, p in pairs.items() if (v := sum_of_products(p)).terms}
+        if value:
+            out[at_x + at_y] = value
+    return out
 
 
 def _expand_cleared(
@@ -381,17 +436,17 @@ def _expand_cleared(
     cleared: Sequence[Multiplication],
     denominators: Sequence[int],
     names: Sequence[Sequence[str]],
-) -> Tuple[List[Poly], int]:
+) -> Tuple[Dict[Tuple[int, Monomial], Poly], int]:
     """Expand ``sum c * term`` on tensors cleared of denominators.
 
     ``cleared[s]`` is slot s's tensor times ``denominators[s]``.  A term
     applying deg_s products of slot s then comes out D_s^deg_s times too
     large, so each term is weighted by prod_s D_s^(top_s - deg_s), top_s
-    being the largest deg_s over ``terms``.  Returns ``(E, C)``: the
-    coordinates of the expansion over the original tensors are those of E
-    divided by C = prod_s D_s^top_s.  Variable v is the generic element
-    with coordinates ``names[v]``.  Each shape is evaluated once; another
-    term of that shape is its value with the generic coordinates renamed.
+    being the largest deg_s over ``terms``.  Returns ``(E, C)``: E maps
+    ``(coordinate, readable generic monomial)`` to its nonzero coefficient,
+    and the expansion over the original tensors is E divided by
+    C = prod_s D_s^top_s.  Variable v's coordinates are named ``names[v]``;
+    a linear v is set to each e_i, and a repeated v's names are split off.
     """
     weights, common = [1] * len(terms), 1
     for slot, d in enumerate(denominators):
@@ -401,22 +456,26 @@ def _expand_cleared(
             weights = [w * d ** (top - g) for w, g in zip(weights, degrees)]
             common *= d ** top
     dim = cleared[0].dim
-    elements = [Element([Poly.var(n) for n in group]) for group in names]
-    evaluated: Dict[Term, Tuple[Tuple[int, ...], Tuple[Poly, ...]]] = {}
-    pairs: List[List[Tuple[Poly, Poly]]] = [[] for _ in range(dim)]
-    for (coeff, term), weight, (shape, order) in zip(terms, weights, _shapes(terms)):
-        seen = evaluated.get(shape)
-        if seen is None:
-            coords = _eval_term(term, cleared, elements).coords
-            evaluated[shape] = (order, coords)
-        else:
-            first, coords = seen
-            renaming = {names[v][i]: names[w][i] for v, w in zip(first, order) for i in range(dim)}
-            coords = [c.rename(renaming) for c in coords]
+    linear, shapes, layouts = _layout(terms)
+    rows: List[Dict[Tuple[int, int], Dict[int, Poly]]] = [{} for _ in cleared]
+    for slot, m in zip(rows, cleared):
+        for (i, j, k), c in m.entries.items():
+            slot.setdefault((i, j), {})[k] = c
+    tables = [_table(shape, rows, dim, names) for shape in shapes]
+    pairs: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Poly, Poly]]] = {}
+    for (coeff, _), weight, (s, perm) in zip(terms, weights, layouts):
         scale = Poly.const(coeff * weight)
-        for k, value in enumerate(coords):
-            pairs[k].append((scale, value))
-    return [sum_of_products(p) for p in pairs], common
+        for at, value in tables[s].items():
+            at = tuple(at[p] for p in perm)
+            for k, c in value.items():
+                pairs.setdefault((k, at), []).append((scale, c))
+    split = [n for v, group in enumerate(names) if v not in linear for n in group]
+    expanded: Dict[Tuple[int, Monomial], Poly] = {}
+    for (k, at), group in pairs.items():
+        fixed = [(names[v][i], 1) for v, i in zip(linear, at)]
+        for mono, coeff in sum_of_products(group).split_by(split).items():
+            expanded[k, tuple(sorted(fixed + list(mono)))] = coeff
+    return expanded, common
 
 
 def _monomial_generators(modulo: Sequence[Poly]) -> List[Poly]:
@@ -491,13 +550,8 @@ def check_identity(
                 f"identity {one.name!r} needs {one.nslots} multiplications, got {len(mults)}"
             )
         names = fresh_generic_names(one.nvars, dim, avoid)
-        generic = set(n for group in names for n in group)
-        result, common = _expand_cleared(one.terms, cleared, denominators, names)
-        reduced: Dict[Poly, None] = {}
-        for coordinate in result:
-            groups = coordinate.split_by(generic)
-            for mono in sorted(groups):
-                reduced.setdefault(groups[mono].reduce_monomials(gens))
+        expanded, common = _expand_cleared(one.terms, cleared, denominators, names)
+        reduced = dict.fromkeys(expanded[key].reduce_monomials(gens) for key in sorted(expanded))
         # Distinct integer obstructions stay distinct divided by one constant.
         obstructions.extend(
             coeff if common == 1 else coeff / common for coeff in reduced if not coeff.is_zero()
@@ -533,17 +587,12 @@ def check_ann_equality(
     for m in mults:
         avoid |= m.names()
     names = fresh_generic_names(nvars, dim, avoid)
-    generic = set(n for group in names for n in group)
-
     cleared, denominators = zip(*map(_clear_denominators, mults))
     terms = lhs.terms + tuple((-c, t) for c, t in rhs.terms)
     diff, common = _expand_cleared(terms, cleared, denominators, names)
-    by_monomial: Dict[tuple, List[Poly]] = {}
-    for k, coordinate in enumerate(diff):
-        for mono, coeff in coordinate.split_by(generic).items():
-            by_monomial.setdefault(mono, [Poly.zero()] * dim)[k] = (
-                coeff if common == 1 else coeff / common
-            )
+    by_monomial: Dict[Monomial, List[Poly]] = {}
+    for (k, mono), coeff in diff.items():
+        by_monomial.setdefault(mono, [Poly.zero()] * dim)[k] = coeff if common == 1 else coeff / common
 
     obstructions: List[Poly] = []
     for mono, vector in sorted(by_monomial.items()):

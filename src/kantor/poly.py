@@ -59,7 +59,9 @@ adds the term products of all ``(a, b)`` pairs into one term map, checks
 the guard bits once and normalizes once; ``a * b`` is its one-pair case.
 A pair with a constant side scales the other side's terms under their own
 keys, with no key arithmetic, so ``a + b`` and ``a - b`` are the kernel's
-pairs ``(a, 1), (b, +-1)``.  Coefficients that cancel stay in the map until
+pairs ``(a, 1), (b, +-1)``; a constant of +-1 adds or subtracts without
+multiplying, and a first pair with constant 1 copies the other side's
+map.  Coefficients that cancel stay in the map until
 the one normalization at the end; no caller reads the order in which a
 result stores its terms.
 
@@ -337,6 +339,8 @@ class Poly:
             shift = _SHIFT.get(name)
             if shift is not None:
                 mask |= _FIELD << shift
+        if not mask:
+            return {(): self} if self.terms else {}
         groups: Dict[int, Dict[int, Scalar]] = {}
         for key, coeff in self.terms.items():
             selected = key & mask
@@ -511,9 +515,21 @@ def sum_of_products(pairs) -> Poly:
         if len(left) == 1 and 0 in left:
             # A constant side: the other side's terms, scaled, under their own keys.
             c1 = left[0]
-            for mono, c2 in right.items():
-                prev = get(mono)
-                out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+            # A Fraction is never +-1, and comparing one with an int is slow.
+            if type(c1) is not int or (c1 != 1 and c1 != -1):
+                for mono, c2 in right.items():
+                    prev = get(mono)
+                    out[mono] = c1 * c2 if prev is None else prev + c1 * c2
+            elif c1 == -1:
+                for mono, c2 in right.items():
+                    prev = get(mono)
+                    out[mono] = -c2 if prev is None else prev - c2
+            elif out:
+                for mono, c2 in right.items():
+                    prev = get(mono)
+                    out[mono] = c2 if prev is None else prev + c2
+            else:
+                out.update(right)
         else:
             for m1, c1 in left.items():
                 for m2, c2 in right.items():

@@ -15,7 +15,13 @@ from kantor.algebra import (
     multiply,
 )
 from kantor.catalog import load_catalog
-from kantor.errors import DimMismatch, SlotMismatch, SymbolicCoefficient, UnknownIdentity
+from kantor.errors import (
+    DimMismatch,
+    IndexOutOfRange,
+    SlotMismatch,
+    SymbolicCoefficient,
+    UnknownIdentity,
+)
 from kantor.identities import (
     App,
     IdentitySpec,
@@ -414,8 +420,8 @@ def test_cleared_expansion_matches_plain_with_a_denominator_per_slot():
 
 
 def test_every_builtin_bundle_matches_the_plain_expansion():
-    # Terms sharing a product-tree shape are renamings of one evaluation;
-    # obstructions and their order must still be the plain expansion's.
+    # Terms sharing a product-tree shape read one table of basis-vector
+    # values; obstructions and their order must still be the plain expansion's.
     rng = random.Random(73)
     table = rand_fraction_table(rng, 3, denominators=(1, 2, 3), density=0.5)
     square = kantor_square(rand_fraction_table(rng, 2, denominators=(1, 2, 3)))
@@ -459,6 +465,52 @@ def test_cleared_expansion_weights_terms_by_their_slot_degrees():
         assert_matches_plain([dot, bracket], two_slot)
         assert_matches_plain(dot, fractional)
         assert_matches_plain(dot.scale(4), fractional)
+
+
+def test_linear_and_repeated_variables_in_one_spec_match_the_plain_expansion():
+    # z occurs once in every term and is set to basis vectors.  x and y
+    # repeat in some term, and t occurs once or not at all, so all three stay
+    # generic.  The third and fourth terms share a shape up to their generic
+    # variables.
+    x, y, z, t = Var(0), Var(1), Var(2), Var(3)
+
+    def m(a, b):
+        return App(0, a, b)
+
+    spec = _spec("mixed_kinds", 4, [
+        (1, m(m(x, t), z)),
+        (1, z),
+        (1, m(m(m(x, x), y), z)),
+        (-1, m(m(m(y, y), x), z)),
+        (F(2, 3), m(m(x, z), x)),
+        (-2, m(y, z)),
+    ])
+    modulo = (parse_poly("a*b"), parse_poly("a^2"))
+    rng = random.Random(79)
+    for dim in (2, 3):
+        table = rand_fraction_table(rng, dim, density=0.7)
+        parametric = table + Multiplication.from_table(dim, {
+            (1, 1, 2): parse_poly("1/2*a", allowed=("a", "b")),
+            (2, 1, 1): parse_poly("b/3 + a", allowed=("a", "b")),
+        })
+        assert not assert_matches_plain(table, spec).holds
+        assert not assert_matches_plain(parametric, spec, modulo).holds
+        assert_matches_plain(parametric, spec)
+
+
+def test_jacobi_on_a_dense_four_dimensional_square_matches_the_plain_expansion():
+    table = rand_fraction_table(random.Random(83), 4)
+    assert not assert_matches_plain(kantor_square(table), builtin("jacobi")).holds
+
+
+def test_malformed_specs_get_typed_errors():
+    x, y = Var(0), Var(1)
+    with pytest.raises(IndexOutOfRange, match="variable 5 not in range"):
+        IdentitySpec("bad", 1, 1, ((F(1), App(0, x, Var(5))),))
+    with pytest.raises(SlotMismatch, match="slot 3 not in range"):
+        IdentitySpec("bad", 2, 1, ((F(1), App(3, x, y)),))
+    with pytest.raises(IndexOutOfRange, match="variable -1 not in range"):
+        IdentitySpec("bad", 2, 1, ((F(1), App(0, Var(-1), y)),))
 
 
 def test_cleared_expansion_on_a_parametric_table_modulo_constraints():

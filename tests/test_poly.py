@@ -383,6 +383,26 @@ def test_constant_sides_match_the_reference_loop(base, cut):
                 assert all(k1 is k2 for k1, k2 in zip((p * c).terms, p.terms))
 
 
+@settings(max_examples=200, deadline=None)
+@given(polys(NAMES + REVERSED), polys(NAMES))
+@example(parse_poly("1/2*u1 + 1/3*b"), parse_poly("1/2*u1 + 2/3*b"))
+@example(parse_poly("1/3*u1"), Poly.zero())
+def test_sums_and_differences_match_the_reference_loop(a, b):
+    one, minus_one = Poly.const(1), Poly.const(-1)
+    for result, pairs in ((a + b, [(a, one), (b, one)]),
+                          (a - b, [(a, one), (b, minus_one)]),
+                          (b - a, [(b, one), (a, minus_one)])):
+        assert dict(result.monomials()) == reference_sum_of_products(pairs)
+        _assert_canonical(result)
+
+
+def test_split_by_names_absent_from_the_polynomial():
+    p = parse_poly("1/2*u1*alpha + 3")
+    for names in ((), ("b",), ("never_registered_anywhere",)):
+        assert p.split_by(names) == {(): p}
+        assert Poly.zero().split_by(names) == {}
+
+
 def test_constant_sides_do_not_hide_overflow():
     x = Poly.var("x")
     top = x ** MAX_EXPONENT
