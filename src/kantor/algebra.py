@@ -5,8 +5,12 @@ coefficient of ``e_k`` in ``e_i * e_j``; entries are polynomials, so one
 representation covers rational tables, parameterized families, and the
 symbolic output of the Kantor constructions.  The tensor is sparse: only
 its nonzero entries are stored, keyed by 0-based ``(i, j, k)`` in
-increasing index order, and an omitted entry is zero.  ``Element`` is a
-coordinate vector of polynomials over the same basis.
+increasing index order, and an omitted entry is zero; ``rows`` holds the
+same entries grouped by product.  ``Element`` is a coordinate vector of
+polynomials over the same basis.  Every x*y is one kernel, ``_product``:
+it looks each pair of nonzero coordinates up in ``rows`` and does not
+multiply by the basis vectors' shared coordinate ``_ONE``.  ``multiply``
+wraps it for elements; the identity checker calls it on sparse tables.
 
 Subspace computations (annihilator, nucleus, centralizer, derived series)
 work over the rationals only: callers substitute parameters first.  Doing
@@ -28,6 +32,7 @@ from .errors import DimMismatch, SymbolicEntries
 from .poly import Poly, parse_poly, substitute_each, sum_of_products
 
 _ZERO = Poly.zero()
+_ONE = Poly.const(1)
 
 
 def _as_poly(value) -> Poly:
@@ -82,7 +87,7 @@ class Element:
 
     @staticmethod
     def basis(dim: int, index: int) -> "Element":
-        return Element([Poly.const(int(i == index)) for i in range(dim)])
+        return Element([_ONE if i == index else _ZERO for i in range(dim)])
 
     @staticmethod
     def symbolic(prefix: str, dim: int) -> "Element":
@@ -142,14 +147,14 @@ class Multiplication:
 
     Only the nonzero entries are stored: ``entries`` maps a 0-based
     ``(i, j, k)`` to the coefficient of ``e_k`` in ``e_i * e_j``, in
-    increasing index order, so the entries of one product ``e_i * e_j``
-    are adjacent.  Every tensor is built by ``_from_entries``, which keeps
-    that invariant; ``Multiplication(c)`` reads the dense form ``c[i][j][k]``.
-    ``_cleared``, when set, holds ``(d * self, d)`` as ``kantor_product``
-    built it (see ``_clear_denominators``).
+    increasing index order, and ``rows`` maps each ``(i, j)`` with
+    ``e_i * e_j != 0`` to ``{k: coefficient}``, in the same order.  Every
+    tensor is built by ``_from_entries``, which keeps both; ``Multiplication(c)``
+    reads the dense form ``c[i][j][k]``.  ``_cleared``, when set, holds
+    ``(d * self, d)`` as ``kantor_product`` built it (see ``_clear_denominators``).
     """
 
-    __slots__ = ("dim", "entries", "_cleared")
+    __slots__ = ("dim", "entries", "rows", "_cleared")
 
     def __new__(cls, c: Sequence[Sequence[Sequence[object]]]) -> "Multiplication":
         dim = len(c)
@@ -185,7 +190,8 @@ class Multiplication:
 
     def row(self, i: int, j: int) -> Element:
         """The product ``e_i * e_j`` (0-based indices)."""
-        return Element([self.entry(i, j, k) for k in range(self.dim)])
+        row = self.rows.get((i, j), {})
+        return Element([row.get(k, _ZERO) for k in range(self.dim)])
 
     def table(self) -> Dict[Tuple[int, int, int], Poly]:
         """Nonzero entries, 1-based, sorted by index."""
@@ -237,15 +243,10 @@ class Multiplication:
 
     def render(self, labels: Sequence[str] | None = None, opsym: str = "*") -> str:
         labels = labels or [f"e{i + 1}" for i in range(self.dim)]
-        lines = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                value = self.row(i, j)
-                if not value.is_zero():
-                    lines.append(f"{labels[i]} {opsym} {labels[j]} = {value.render(labels)}")
-        if not lines:
-            return "(all products zero)"
-        return "\n".join(lines)
+        lines = [f"{labels[i]} {opsym} {labels[j]} = "
+                 + render_combination((c, labels[k]) for k, c in row.items())
+                 for (i, j), row in self.rows.items()]
+        return "\n".join(lines) if lines else "(all products zero)"
 
     def __repr__(self) -> str:
         return f"Multiplication(dim={self.dim})"
@@ -253,11 +254,17 @@ class Multiplication:
 
 def _from_entries(dim: int, entries: Dict[Tuple[int, int, int], Poly]) -> Multiplication:
     """The tensor with these 0-based entries: zeros dropped, keys in index order."""
+    kept, rows = {}, {}
+    for key in sorted(entries):
+        value = entries[key]
+        if value.terms:
+            kept[key] = value
+            i, j, k = key
+            rows.setdefault((i, j), {})[k] = value
     m = object.__new__(Multiplication)
     object.__setattr__(m, "dim", dim)
-    object.__setattr__(
-        m, "entries", {key: entries[key] for key in sorted(entries) if not entries[key].is_zero()}
-    )
+    object.__setattr__(m, "entries", kept)
+    object.__setattr__(m, "rows", rows)
     return m
 
 
@@ -276,25 +283,33 @@ def _clear_denominators(m: Multiplication) -> Tuple[Multiplication, int]:
     return (m if d == 1 else m.scale(d)), d
 
 
-def multiply(m: Multiplication, x: Element, y: Element) -> Element:
-    """Evaluate the product: ``(x*y)_k = sum_ij x_i y_j c[i][j][k]``.
+def _product(rows, x, y) -> Dict[int, Poly]:
+    """The nonzero ``(x*y)_k`` by k, for the tensor with ``rows``.
 
-    Each coordinate is one ``sum_of_products`` call.  The entries of one
-    ``e_i * e_j`` are adjacent, so each ``x_i * y_j`` is computed once.
+    ``x`` and ``y`` yield ``(index, coordinate)`` pairs, y once per nonzero
+    x_i; zero coordinates are skipped.  Each (x*y)_k is one ``sum_of_products``.
     """
+    pairs: Dict[int, List[Tuple[Poly, Poly]]] = {}
+    for i, xi in x:
+        if xi.terms:
+            for j, yj in y:
+                row = yj.terms and rows.get((i, j))
+                if row:
+                    factor = yj if xi is _ONE else xi if yj is _ONE else xi * yj
+                    for k, c in row.items():
+                        pairs.setdefault(k, []).append((factor, c))
+    return {k: v for k, p in pairs.items() if (v := sum_of_products(p)).terms}
+
+
+def multiply(m: Multiplication, x: Element, y: Element) -> Element:
+    """Evaluate the product ``(x*y)_k = sum_ij x_i y_j c[i][j][k]`` with ``_product``."""
     if not (m.dim == x.dim == y.dim):
         raise DimMismatch("dimensions of multiplication and elements differ")
-    xs, ys = x.coords, y.coords
-    pairs = [[] for _ in range(m.dim)]
-    pair = factor = None
-    for (i, j, k), value in m.entries.items():
-        if (i, j) != pair:
-            pair = (i, j)
-            xi, yj = xs[i], ys[j]
-            factor = None if xi.is_zero() or yj.is_zero() else xi * yj
-        if factor is not None:
-            pairs[k].append((factor, value))
-    return Element([sum_of_products(p) if p else _ZERO for p in pairs])
+    out = _product(m.rows, enumerate(x.coords), tuple(enumerate(y.coords)))
+    product = object.__new__(Element)  # its coordinates are Polys already
+    object.__setattr__(product, "coords", tuple([out.get(k, _ZERO) for k in range(m.dim)]))
+    object.__setattr__(product, "dim", m.dim)
+    return product
 
 
 @dataclass(frozen=True)

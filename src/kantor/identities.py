@@ -22,6 +22,7 @@ in Zhevlakov et al., *Rings That Are Nearly Associative*, ch. 1), so only
 repeated variables stay generic.  Each product-tree shape, such as
 Jacobi's (xy)z, (zx)y and (yz)x, is evaluated once into a table from basis
 index tuples to nonzero values; its terms read it with indices permuted.
+Two leaves read the tensor's ``rows``; larger shapes use ``algebra._product``.
 
 The ``builtin`` registry returns, for each named variety, the tuple of
 identity specs that define it (several for bundled definitions such as
@@ -38,7 +39,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from .algebra import Element, Multiplication, Subspace, _clear_denominators, centralizer, multiply
+from .algebra import (_ONE, Element, Multiplication, Subspace, _clear_denominators, _product,
+                      centralizer, multiply)
 from .errors import (DimMismatch, IndexOutOfRange, SlotMismatch, SymbolicCoefficient,
                      SymbolicEntries, UnknownIdentity)
 from .poly import Monomial, Poly, sum_of_products
@@ -97,7 +99,6 @@ class Verdict:
 
 
 SpecOrBundle = Union[IdentitySpec, Sequence[IdentitySpec]]
-_ONE = Poly.const(1)  # a basis vector's coordinate in an expansion table
 
 
 # -- spec construction helpers ----------------------------------------------
@@ -405,28 +406,22 @@ def _layout(terms: Tuple[Tuple[Fraction, Term], ...]):
     return linear, tuple(shapes), tuple(layouts)
 
 
-def _table(shape: Term, rows, dim: int, names) -> Dict[Tuple[int, ...], Dict[int, Poly]]:
+def _table(shape: Term, tensors, dim: int, names) -> Dict[Tuple[int, ...], Dict[int, Poly]]:
     """The shape's nonzero values ``{k: coordinate}`` by the basis index at each linear
-    position.  ``rows[s]`` is slot s's table: e_i * e_j is ``rows[s][i, j]``.
+    position.  Slot s is ``tensors[s]``: a two-leaf shape is its ``rows``, and a larger
+    one multiplies its two sides' values with ``_product``.
     """
     if isinstance(shape, Var):
         return {(i,): {i: _ONE} for i in range(dim)}
     if isinstance(shape, _Generic):
         return {(): dict(enumerate(map(Poly.var, names[shape.index])))}
+    rows = tensors[shape.slot].rows
     if isinstance(shape.left, Var) and isinstance(shape.right, Var):
-        return rows[shape.slot]
-    left, right = (_table(side, rows, dim, names) for side in (shape.left, shape.right))
+        return rows
+    left, right = (_table(side, tensors, dim, names) for side in (shape.left, shape.right))
     out = {}
     for (at_x, x), (at_y, y) in itertools.product(left.items(), right.items()):
-        pairs: Dict[int, List[Tuple[Poly, Poly]]] = {}
-        for (i, xi), (j, yj) in itertools.product(x.items(), y.items()):
-            row = rows[shape.slot].get((i, j))
-            if row:
-                factor = yj if xi is _ONE else xi if yj is _ONE else xi * yj
-                for k, c in row.items():
-                    pairs.setdefault(k, []).append((factor, c))
-        value = {k: v for k, p in pairs.items() if (v := sum_of_products(p)).terms}
-        if value:
+        if value := _product(rows, x.items(), y.items()):
             out[at_x + at_y] = value
     return out
 
@@ -457,11 +452,7 @@ def _expand_cleared(
             common *= d ** top
     dim = cleared[0].dim
     linear, shapes, layouts = _layout(terms)
-    rows: List[Dict[Tuple[int, int], Dict[int, Poly]]] = [{} for _ in cleared]
-    for slot, m in zip(rows, cleared):
-        for (i, j, k), c in m.entries.items():
-            slot.setdefault((i, j), {})[k] = c
-    tables = [_table(shape, rows, dim, names) for shape in shapes]
+    tables = [_table(shape, cleared, dim, names) for shape in shapes]
     pairs: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Poly, Poly]]] = {}
     for (coeff, _), weight, (s, perm) in zip(terms, weights, layouts):
         scale = Poly.const(coeff * weight)
@@ -500,12 +491,6 @@ def _slots(mults: Union[Multiplication, Sequence[Multiplication]]) -> List[Multi
     return mults
 
 
-def _normalize_specs(spec: SpecOrBundle) -> Tuple[IdentitySpec, ...]:
-    if isinstance(spec, IdentitySpec):
-        return (spec,)
-    return tuple(spec)
-
-
 def check_identity(
     mults: Union[Multiplication, Sequence[Multiplication]],
     spec: SpecOrBundle,
@@ -532,7 +517,7 @@ def check_identity(
     which a polynomial stores its terms shows in the result.
     """
     mults = _slots(mults)
-    specs = _normalize_specs(spec)
+    specs = (spec,) if isinstance(spec, IdentitySpec) else tuple(spec)
     dim = mults[0].dim
     gens = _monomial_generators(modulo)
 

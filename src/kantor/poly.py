@@ -431,39 +431,6 @@ class Poly:
             return self
         return _substitute(self, _exact_bindings(bindings))
 
-    def rename(self, names: Mapping[str, str]) -> "Poly":
-        """Replace each name in ``names`` by its image, keeping coefficients and term order.
-
-        ``ValueError`` unless the renaming, extended by the identity, is
-        injective on this polynomial's names, so that no two terms merge.
-        """
-        present = functools.reduce(operator.or_, self.terms, 0)
-        mask = image_mask = 0
-        targets: Dict[int, int] = {}
-        for old, new in names.items():
-            shift = _SHIFT.get(old)
-            if shift is not None and (present >> shift) & _FIELD:
-                targets[shift] = _shift(new)
-                mask |= _FIELD << shift
-                image_mask |= _FIELD << targets[shift]
-        if present & ~mask & image_mask or len(set(targets.values())) < len(targets):
-            raise ValueError(f"renaming {names} is not injective on the polynomial's names")
-        images: Dict[int, int] = {}
-        out: Dict[int, Scalar] = {}
-        for key, coeff in self.terms.items():
-            part = key & mask
-            image = images.get(part)
-            if image is None:
-                image, rest = 0, part
-                while rest:
-                    shift = ((rest & -rest).bit_length() - 1) & -_WIDTH
-                    exp = (rest >> shift) & _FIELD
-                    image += exp << targets[shift]
-                    rest -= exp << shift
-                images[part] = image
-            out[key - part + image] = coeff
-        return _from_normalized(out)
-
     # -- printing ----------------------------------------------------------
 
     def __str__(self) -> str:
@@ -719,6 +686,10 @@ def parse_poly(text: str, allowed=None) -> Poly:
     """Parse the canonical polynomial syntax, e.g. ``-1/2*u1 + u3^2``.
 
     ``allowed`` optionally restricts the indeterminate names; any other
-    name raises :class:`ParseError`.
+    name raises :class:`ParseError`, and so does nesting (parentheses or
+    signs) too deep for the recursive parser.
     """
-    return _Parser(text, allowed).parse()
+    try:
+        return _Parser(text, allowed).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

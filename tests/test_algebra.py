@@ -75,22 +75,78 @@ def several_per_product(rng, dim):
     return Multiplication.from_table(dim, entries)
 
 
+def one_entry(rng, dim):
+    """A table with a single nonzero entry, as the elementary multiplications of U(n)."""
+    key = tuple(rng.randint(1, dim) for _ in range(3))
+    return Multiplication.from_table(dim, {key: F(rng.choice([-2, 1, 3]), rng.randint(1, 2))})
+
+
 def test_multiply_matches_the_sum_over_entries():
-    # (x*y)_k = sum_ij x_i y_j entry(i, j, k), for symbolic x and y with some zero coordinates
+    # (x*y)_k = sum_ij x_i y_j entry(i, j, k), for symbolic x and y with some zero
+    # coordinates, basis vectors, whose 1 is one shared object, and vectors whose 1s
+    # are made afresh by Poly.const(1), which the product must multiply like any value.
     rng = random.Random(11)
+    shared_one = Element.basis(1, 0).coords[0]
     for _ in range(40):
         dim = rng.randint(1, 4)
-        for m in (rand_mult(rng, dim), several_per_product(rng, dim)):
-            x = Element([Poly.var(f"x{i}") if rng.random() < 0.8 else Poly.zero() for i in range(dim)])
-            y = Element([Poly.var(f"y{i}") if rng.random() < 0.8 else Poly.zero() for i in range(dim)])
-            expected = [
-                sum(
-                    (x.coords[i] * y.coords[j] * m.entry(i, j, k) for i in range(dim) for j in range(dim)),
-                    Poly.zero(),
-                )
-                for k in range(dim)
-            ]
-            assert multiply(m, x, y) == Element(expected)
+
+        def vectors(prefix):
+            symbolic = [Poly.var(f"{prefix}{i}") if rng.random() < 0.8 else Poly.zero() for i in range(dim)]
+            index = rng.randrange(dim)
+            fresh = [Poly.const(1) if i == index or rng.random() < 0.3 else Poly.zero() for i in range(dim)]
+            mixed = [Poly.const(1) if rng.random() < 0.5 else c for c in symbolic]
+            return [Element(symbolic), Element.basis(dim, index), Element(fresh), Element(mixed)]
+
+        for m in (rand_mult(rng, dim), several_per_product(rng, dim), one_entry(rng, dim)):
+            for x in vectors("x"):
+                for y in vectors("y"):
+                    expected = [
+                        sum(
+                            (x.coords[i] * y.coords[j] * m.entry(i, j, k)
+                             for i in range(dim) for j in range(dim)),
+                            Poly.zero(),
+                        )
+                        for k in range(dim)
+                    ]
+                    assert multiply(m, x, y) == Element(expected)
+            for i in range(dim):
+                e_i = Element.basis(dim, i)
+                assert e_i.coords[i] is shared_one
+                for j in range(dim):
+                    fresh_j = Element([Poly.const(int(k == j)) for k in range(dim)])
+                    assert fresh_j.coords[j] is not shared_one
+                    assert multiply(m, e_i, Element.basis(dim, j)) == multiply(m, e_i, fresh_j) == m.row(i, j)
+
+
+def former_render(m, labels=None, opsym="*"):
+    """``Multiplication.render`` as it was: every e_i * e_j of the n x n grid through ``row``."""
+    labels = labels or [f"e{i + 1}" for i in range(m.dim)]
+    lines = []
+    for i in range(m.dim):
+        for j in range(m.dim):
+            value = m.row(i, j)
+            assert value == Element([m.entry(i, j, k) for k in range(m.dim)])
+            if not value.is_zero():
+                lines.append(f"{labels[i]} {opsym} {labels[j]} = {value.render(labels)}")
+    return "\n".join(lines) if lines else "(all products zero)"
+
+
+def test_render_matches_the_grid_of_rows():
+    rng = random.Random(17)
+    coeffs = [F(1), F(-1), F(2, 3), parse_poly("t"), parse_poly("-t"), parse_poly("t - 1")]
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        planes = rng.sample(range(1, dim + 1), rng.randint(0, dim))  # the other planes stay empty
+        entries = {}
+        for _ in range(rng.randint(0, 2 * dim)):
+            if planes:
+                key = (rng.choice(planes), rng.randint(1, dim), rng.randint(1, dim))
+                entries[key] = rng.choice(coeffs)
+        m = Multiplication.from_table(dim, entries)
+        labels = [f"b{i}" for i in range(dim)]
+        for args in ((), (labels,), (labels, "o")):
+            assert m.render(*args) == former_render(m, *args)
+    assert Multiplication.zero(2).render() == "(all products zero)"
 
 
 def test_sparse_storage_invariants():

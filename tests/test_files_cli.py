@@ -96,6 +96,23 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert "field 'table[0]'" in err
 
 
+@pytest.mark.parametrize("text, field", [
+    ('{"name": ' + "[" * 100000 + "]" * 100000 + ', "dim": 1}', None),
+    (json.dumps({"dim": 1, "table": [{"i": 1, "j": 1, "k": 1, "coeff": "(" * 250 + "1" + ")" * 250}]}),
+     "table[0]"),
+    (json.dumps({"dim": 1, "table": [{"i": 1, "j": 1, "k": 1, "coeff": "-" * 1000 + "1"}]}), "table[0]"),
+], ids=["json", "parentheses", "signs"])
+def test_cli_deeply_nested_input_is_a_parse_error(tmp_path, text, field):
+    with pytest.raises(ParseError, match="nested too deeply") as info:
+        parse_algebra(text)
+    assert info.value.field == field
+    path = tmp_path / "nested.json"
+    path.write_text(text)
+    code, out, err = run_cli("square", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "nested too deeply" in err and len(err) < 100
+
+
 def test_cli_check_rejects_a_non_monomial_constraint(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"dim": 2, "params": ["a", "b"], "constraints": ["a + b"], '
