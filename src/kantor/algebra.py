@@ -74,7 +74,12 @@ class Element:
     __slots__ = ("dim", "coords")
 
     def __init__(self, coords: Sequence[Poly]):
-        coords = tuple(_as_poly(c) for c in coords)
+        coords = tuple(coords)
+        # Most callers pass Polys already; coerce only when one is not.
+        for c in coords:
+            if type(c) is not Poly:
+                coords = tuple(map(_as_poly, coords))
+                break
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dim", len(coords))
 

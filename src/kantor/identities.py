@@ -24,6 +24,15 @@ Jacobi's (xy)z, (zx)y and (yz)x, is evaluated once into a table from basis
 index tuples to nonzero values; its terms read it with indices permuted.
 Two leaves read the tensor's ``rows``; larger shapes use ``algebra._product``.
 
+A spec may be unchanged when its linear variables are renamed, as Jacobi is
+under x -> y -> z -> x.  Basis tuples in one orbit of that symmetry group
+then give equal coefficients, so only one representative per orbit is
+expanded: the member whose readable generic monomial is least, which is
+where ``check_identity`` keeps their common obstructions anyway.  The
+group and the representatives are built on first use and cached.  A
+``Verdict`` holds the obstructions undivided with their common factor and
+divides them back only when ``obstructions`` is first read.
+
 The ``builtin`` registry returns, for each named variety, the tuple of
 identity specs that define it (several for bundled definitions such as
 ``mock_lie`` = commutative + Jacobi).  Two-slot names follow a fixed slot
@@ -37,7 +46,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
 
 from .algebra import (_ONE, Element, Multiplication, Subspace, _clear_denominators, _product,
                       centralizer, multiply)
@@ -94,8 +103,35 @@ class IdentitySpec:
 
 @dataclass(frozen=True)
 class Verdict:
+    """Whether identities hold, and the obstructions if they do not.
+
+    ``check_identity`` hands over each spec's obstructions undivided, with
+    the spec's common factor; they are divided back, and repeats across a
+    bundle dropped, on the first read of ``obstructions``, so a caller
+    reading only ``holds`` never divides.
+    """
+
     holds: bool
     obstructions: Tuple[Poly, ...]
+
+    @classmethod
+    def _lazy(cls, undivided: List[Tuple[Tuple[Poly, ...], int]]) -> "Verdict":
+        """The verdict on ``(obstructions, common factor)`` per spec, ``obstructions`` unset."""
+        verdict = object.__new__(cls)
+        object.__setattr__(verdict, "holds", not any(polys for polys, _ in undivided))
+        object.__setattr__(verdict, "_undivided", undivided)
+        return verdict
+
+    def __getattr__(self, name):
+        # Reached only for an unset attribute: the obstructions of a lazy verdict.
+        undivided = self.__dict__.get("_undivided")
+        if name != "obstructions" or undivided is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        # Distinct integer obstructions stay distinct divided by one constant.
+        divided = [p if c == 1 else p / c for polys, c in undivided for p in polys]
+        object.__setattr__(self, name, tuple(dict.fromkeys(divided) if len(undivided) > 1 else divided))
+        self.__dict__.pop("_undivided", None)
+        return self.obstructions
 
 
 SpecOrBundle = Union[IdentitySpec, Sequence[IdentitySpec]]
@@ -391,9 +427,16 @@ def _shape(term: Term, linear: Tuple[int, ...], order: List[int]) -> Term:
 
 @functools.lru_cache(maxsize=1 << 10)
 def _layout(terms: Tuple[Tuple[Fraction, Term], ...]):
-    """``(linear, shapes, layouts)``: the variables occurring once in every term, the
-    distinct shapes, and per term ``(s, perm)``: its shape is ``shapes[s]``, with
-    ``linear[i]`` at position ``perm[i]``.  Jacobi's (zx)y is (v0 v1) v2, perm (1, 2, 0).
+    """``(linear, shapes, layouts, group)``: the variables occurring once in every term,
+    the distinct shapes, per term ``(s, perm)``: its shape is ``shapes[s]``, with
+    ``linear[i]`` at position ``perm[i]``, and the symmetry group of the linear variables.
+    Jacobi's (zx)y is (v0 v1) v2, perm (1, 2, 0).
+
+    The group holds each permutation sigma that maps the multiset of
+    ``(coeff, s, perm)`` onto itself through perm -> perm o sigma: renaming the linear
+    variables by sigma leaves the spec unchanged, sign included.  Such a sigma takes
+    the first term to one of the same coefficient and shape, so those are the only
+    candidates.  Jacobi's group is cyclic of order 3; ``commutative``'s is trivial.
     """
     leaves = [_leaves(term) for _, term in terms]
     linear = tuple(v for v in sorted(set(leaves[0])) if all(vs.count(v) == 1 for vs in leaves))
@@ -403,7 +446,38 @@ def _layout(terms: Tuple[Tuple[Fraction, Term], ...]):
         order: List[int] = []
         shape = _shape(term, linear, order)
         layouts.append((shapes.setdefault(shape, len(shapes)), tuple(map(order.index, linear))))
-    return linear, tuple(shapes), tuple(layouts)
+    signature = [(c, s, perm) for (c, _), (s, perm) in zip(terms, layouts)]
+    c0, s0, p0 = signature[0]
+    candidates = [tuple(map(p0.index, p)) for c, s, p in signature if (c, s) == (c0, s0)]
+    signature.sort()
+    group = tuple(
+        sigma for sigma in candidates
+        if sorted((c, s, tuple(p[j] for j in sigma)) for c, s, p in signature) == signature
+    )
+    return linear, tuple(shapes), tuple(layouts), group
+
+
+@functools.lru_cache(maxsize=1 << 10)
+def _representatives(linear: Tuple[int, ...], group, dim: int) -> FrozenSet[Tuple[int, ...]]:
+    """The basis index tuples of the linear variables that stand for their orbit.
+
+    The orbit of ``at`` is ``at o sigma`` over the group, and every member gives the
+    same values.  Its representative is the member whose readable generic monomial is
+    least: the one at which ``check_identity`` keeps their common obstructions.  Each
+    linear variable gives that monomial one name, its common prefix then
+    ``{v + 1}_{i + 1}``; names of two variables compare by the labels ``{v + 1}_``
+    alone, so the monomials compare as the ranks of the index strings ``{i + 1}``
+    listed in label order.  Keyed by the linear variables and the group, not by the
+    terms, which are slower to hash.
+    """
+    order = sorted(range(len(linear)), key=lambda j: f"{linear[j] + 1}_")
+    by_string = sorted(range(dim), key=lambda i: str(i + 1))
+    rank = [by_string.index(i) for i in range(dim)]
+    moved = [[sigma[j] for j in order] for sigma in group[1:]]  # group[0] is the identity
+    return frozenset(
+        at for at in itertools.product(range(dim), repeat=len(linear))
+        if all([rank[at[j]] for j in order] <= [rank[at[j]] for j in m] for m in moved)
+    )
 
 
 def _table(shape: Term, tensors, dim: int, names) -> Dict[Tuple[int, ...], Dict[int, Poly]]:
@@ -442,6 +516,8 @@ def _expand_cleared(
     and the expansion over the original tensors is E divided by
     C = prod_s D_s^top_s.  Variable v's coordinates are named ``names[v]``;
     a linear v is set to each e_i, and a repeated v's names are split off.
+    E holds the linear variables' orbit representatives only: the rest of
+    an orbit repeats its representative's coefficients (``_orbit_keys``).
     """
     weights, common = [1] * len(terms), 1
     for slot, d in enumerate(denominators):
@@ -451,15 +527,17 @@ def _expand_cleared(
             weights = [w * d ** (top - g) for w, g in zip(weights, degrees)]
             common *= d ** top
     dim = cleared[0].dim
-    linear, shapes, layouts = _layout(terms)
+    linear, shapes, layouts, symmetry = _layout(terms)
+    representatives = _representatives(linear, symmetry, dim) if len(symmetry) > 1 else None
     tables = [_table(shape, cleared, dim, names) for shape in shapes]
     pairs: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Poly, Poly]]] = {}
     for (coeff, _), weight, (s, perm) in zip(terms, weights, layouts):
         scale = Poly.const(coeff * weight)
         for at, value in tables[s].items():
             at = tuple(at[p] for p in perm)
-            for k, c in value.items():
-                pairs.setdefault((k, at), []).append((scale, c))
+            if representatives is None or at in representatives:
+                for k, c in value.items():
+                    pairs.setdefault((k, at), []).append((scale, c))
     split = [n for v, group in enumerate(names) if v not in linear for n in group]
     expanded: Dict[Tuple[int, Monomial], Poly] = {}
     for (k, at), group in pairs.items():
@@ -467,6 +545,19 @@ def _expand_cleared(
         for mono, coeff in sum_of_products(group).split_by(split).items():
             expanded[k, tuple(sorted(fixed + list(mono)))] = coeff
     return expanded, common
+
+
+def _orbit_keys(expanded, terms, names):
+    """``_expand_cleared``'s E with every member of each representative's orbit."""
+    linear, _, _, group = _layout(terms)
+    out = {}
+    for sigma in group:
+        # at o sigma gives linear[j] the index that at gives linear[sigma[j]].
+        rename = {names[linear[s]][i]: names[v][i] for v, s in zip(linear, sigma)
+                  for i in range(len(names[v]))}
+        for (k, mono), coeff in expanded.items():
+            out[k, tuple(sorted((rename.get(n, n), e) for n, e in mono))] = coeff
+    return out
 
 
 def _monomial_generators(modulo: Sequence[Poly]) -> List[Poly]:
@@ -515,6 +606,12 @@ def check_identity(
     they are the coefficient of (a tuple of ``(name, exponent)`` pairs,
     compared as tuples), each kept at its first place only.  No order in
     which a polynomial stores its terms shows in the result.
+
+    Only one basis tuple per orbit of the spec's symmetry group is
+    expanded (see the module docstring); the others repeat its
+    obstructions at later places, so the result is the same.  ``holds`` is
+    known at once; the division by the common factor, and the dedupe
+    across a bundle, wait for the first read of ``obstructions``.
     """
     mults = _slots(mults)
     specs = (spec,) if isinstance(spec, IdentitySpec) else tuple(spec)
@@ -528,7 +625,7 @@ def check_identity(
         avoid |= g.names()
     cleared, denominators = zip(*map(_clear_denominators, mults))
 
-    obstructions: List[Poly] = []
+    undivided = []
     for one in specs:
         if one.nslots != len(mults):
             raise SlotMismatch(
@@ -537,13 +634,8 @@ def check_identity(
         names = fresh_generic_names(one.nvars, dim, avoid)
         expanded, common = _expand_cleared(one.terms, cleared, denominators, names)
         reduced = dict.fromkeys(expanded[key].reduce_monomials(gens) for key in sorted(expanded))
-        # Distinct integer obstructions stay distinct divided by one constant.
-        obstructions.extend(
-            coeff if common == 1 else coeff / common for coeff in reduced if not coeff.is_zero()
-        )
-    if len(specs) > 1:
-        obstructions = list(dict.fromkeys(obstructions))
-    return Verdict(not obstructions, tuple(obstructions))
+        undivided.append((tuple(coeff for coeff in reduced if not coeff.is_zero()), common))
+    return Verdict._lazy(undivided)
 
 
 def check_ann_equality(
@@ -576,7 +668,7 @@ def check_ann_equality(
     terms = lhs.terms + tuple((-c, t) for c, t in rhs.terms)
     diff, common = _expand_cleared(terms, cleared, denominators, names)
     by_monomial: Dict[Monomial, List[Poly]] = {}
-    for (k, mono), coeff in diff.items():
+    for (k, mono), coeff in _orbit_keys(diff, terms, names).items():
         by_monomial.setdefault(mono, [Poly.zero()] * dim)[k] = coeff if common == 1 else coeff / common
 
     obstructions: List[Poly] = []

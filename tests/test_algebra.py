@@ -174,6 +174,23 @@ def test_multiply_dim_mismatch():
         multiply(Multiplication.zero(2), Element.zero(3), Element.zero(2))
 
 
+def test_element_coerces_only_coordinates_that_are_not_polys():
+    a = parse_poly("a")
+    polys = Element([a, Poly.const(2)])
+    assert polys.coords[0] is a
+    # A non-Poly coordinate, wherever it sits, is coerced like a structure constant.
+    assert Element([a, 2]).coords == (a, Poly.const(2))
+    assert Element([F(1, 2), a]).coords == (Poly.const(F(1, 2)), a)
+    assert Element(["a + 1", a]).coords == (parse_poly("a + 1"), a)
+    assert Element(iter([3, "b"])).coords == (Poly.const(3), parse_poly("b"))
+    assert all(type(c) is Poly for c in Element([a, 2, F(1, 3), "b"]).coords)
+    for bad in (1.5, None, [1]):
+        with pytest.raises(TypeError):
+            Element([a, bad])
+        with pytest.raises(TypeError):
+            Element([bad])
+
+
 def oracle_annihilator_dim(m):
     """Independent route: expand v*e_j and e_j*v with a symbolic v."""
     from kantor.linsolve import nullspace

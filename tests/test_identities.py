@@ -1,5 +1,7 @@
 import itertools
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as F
 
 import pytest
@@ -26,12 +28,16 @@ from kantor.identities import (
     App,
     IdentitySpec,
     Var,
+    Verdict,
+    _layout,
+    _representatives,
     builtin,
     builtin_names,
     check_ann_equality,
     check_identity,
     fresh_generic_names,
     probe_cb_cl,
+    reslot,
 )
 from kantor.linsolve import rank
 from kantor.poly import Poly, parse_poly
@@ -611,3 +617,223 @@ def test_squares_check_like_freshly_built_equal_tensors(case):
         assert _outcome(lambda: check_ann_equality(square, xy, yx, ann)) == _outcome(
             lambda: check_ann_equality(fresh, xy, yx, ann)
         )
+
+
+# -- symmetry orbits of the linear variables, and lazy division ---------------
+
+def _sum_of_terms(lin):
+    """``sum c * term`` as a map from term to its merged nonzero coefficient."""
+    merged = {}
+    for c, term in lin:
+        merged[term] = merged.get(term, 0) + c
+    return {term: c for term, c in merged.items() if c}
+
+
+def _renamed(term, mapping):
+    if isinstance(term, Var):
+        return Var(mapping.get(term.index, term.index))
+    return App(term.slot, _renamed(term.left, mapping), _renamed(term.right, mapping))
+
+
+def brute_force_group(spec):
+    """Permutations sigma with the spec unchanged when linear[i] is renamed linear[sigma[i]]."""
+    linear = _layout(spec.terms)[0]
+    original = _sum_of_terms(spec.terms)
+    return {
+        sigma for sigma in itertools.permutations(range(len(linear)))
+        if _sum_of_terms(
+            (c, _renamed(t, {v: linear[s] for v, s in zip(linear, sigma)})) for c, t in spec.terms
+        ) == original
+    }
+
+
+def _m(a, b):
+    return App(0, a, b)
+
+
+def s3_invariant_spec():
+    """sum over sigma in S3 of (x_s1 x_s2) x_s3: its group is all of S3, non-abelian."""
+    xs = (Var(0), Var(1), Var(2))
+    return _spec("s3_sum", 3, [(1, _m(_m(a, b), c)) for a, b, c in itertools.permutations(xs)])
+
+
+def xz_swap_spec():
+    """(xz)y + (zx)y - y(xz) - y(zx): invariant under x <-> z only, a non-normal subgroup of S3."""
+    x, y, z = Var(0), Var(1), Var(2)
+    return _spec("xz_swap", 3, [
+        (1, _m(_m(x, z), y)), (1, _m(_m(z, x), y)), (-1, _m(y, _m(x, z))), (-1, _m(y, _m(z, x))),
+    ])
+
+
+SYMMETRIC_BUILTINS = (
+    "jacobi", "anticommutative", "associator_alternating_12", "squares_annihilate_left",
+    "jacobiator_times_t",
+)
+
+
+def _builtin_spec(name):
+    return next(spec for bundle in map(builtin, builtin_names()) for spec in bundle
+                if spec.name == name)
+
+
+def test_symmetry_groups_of_the_linear_variables():
+    def group(spec):
+        return set(_layout(spec.terms)[3])
+
+    assert group(_builtin_spec("jacobi")) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
+    assert group(_builtin_spec("anticommutative")) == {(0, 1), (1, 0)}
+    assert group(_builtin_spec("commutative")) == {(0, 1)}
+    assert len(group(s3_invariant_spec())) == 6
+    assert group(xz_swap_spec()) == {(0, 1, 2), (2, 1, 0)}
+    specs = {spec.name: spec for bundle in map(builtin, builtin_names()) for spec in bundle}
+    specs.update({"s3_sum": s3_invariant_spec(), "xz_swap": xz_swap_spec()})
+    nontrivial = set()
+    for name, spec in specs.items():
+        assert group(spec) == brute_force_group(spec), name
+        assert _layout(spec.terms)[3][0] == tuple(range(len(_layout(spec.terms)[0]))), name
+        if len(group(spec)) > 1:
+            nontrivial.add(name)
+    assert nontrivial == set(SYMMETRIC_BUILTINS) | {"s3_sum", "xz_swap"}
+
+
+def test_orbit_representatives_match_the_plain_expansion():
+    rng = random.Random(89)
+    specs = [_builtin_spec(name) for name in SYMMETRIC_BUILTINS]
+    specs += [s3_invariant_spec(), xz_swap_spec()]
+    half_a = parse_poly("1/2*a", allowed=("a",))
+    for dim in (2, 3):
+        table = rand_fraction_table(rng, dim, density=0.6)
+        parametric = table + Multiplication.from_table(dim, {(1, 2, 1): half_a, (2, 1, 2): half_a})
+        square = kantor_square(rand_fraction_table(rng, 2, denominators=(1, 2, 3)))
+        for spec in specs:
+            assert not assert_matches_plain(table, spec).holds, spec.name
+            assert_matches_plain(parametric, spec)
+            assert_matches_plain(parametric, spec, modulo=(parse_poly("a^2"),))
+            assert_matches_plain(square, spec)
+
+
+def test_orbit_representatives_follow_the_readable_monomial_past_nine():
+    # In dimension 10, x1_10 sorts before x1_2: the representative, where the
+    # obstruction is kept, is chosen by the printed names, not by index tuple.
+    rng = random.Random(97)
+    table = rand_fraction_table(rng, 10, denominators=(1, 2, 3), density=0.02)
+    assert table.entries
+    for name in ("jacobi", "anticommutative", "associator_alternating_12"):
+        assert not assert_matches_plain(table, _builtin_spec(name)).holds, name
+
+
+def test_representatives_are_least_by_the_printed_names():
+    # Labels 1_ and 10_ and indices 2 and 10 compare as strings, not as numbers.
+    cyclic = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    for linear, group, dim in (((0, 1), ((0, 1), (1, 0)), 12), ((0, 1, 2), cyclic, 11),
+                               ((0, 9, 10), cyclic, 11), ((1, 9, 11), cyclic, 4)):
+        names = [[f"x{v + 1}_{i + 1}" for i in range(dim)] for v in linear]
+
+        def readable(at):
+            return sorted(n[i] for n, i in zip(names, at))
+
+        expected = {
+            at for at in itertools.product(range(dim), repeat=len(linear))
+            if readable(at) == min(readable([at[j] for j in sigma]) for sigma in group)
+        }
+        assert _representatives(linear, group, dim) == expected, (linear, dim)
+
+
+def plain_ann_obstructions(mults, lhs, rhs, ann):
+    """Reference for ``check_ann_equality``: one vector per generic monomial of the plain expansion."""
+    dim = mults.dim
+    names = fresh_generic_names(max(lhs.nvars, rhs.nvars), dim, mults.names())
+    generic = {n for group in names for n in group}
+    elements = [Element([Poly.var(n) for n in group]) for group in names]
+    total = plain_combination([mults], lhs.terms, elements) - plain_combination(
+        [mults], rhs.terms, elements)
+    vectors = {}
+    for k, coordinate in enumerate(total.coords):
+        for mono, coeff in coordinate.split_by(generic).items():
+            vectors.setdefault(mono, [F(0)] * dim)[k] = coeff.constant_value()
+    found = []
+    for mono, values in sorted(vectors.items()):
+        if not ann.contains(values):
+            combo = Poly.zero()
+            for k, value in enumerate(values):
+                combo = combo + Poly.var(f"E{k + 1}") * value
+            found.append(Poly({mono: F(1)}) * combo)
+    return tuple(found)
+
+
+def test_ann_equality_expands_each_orbit_back_to_every_monomial():
+    # lhs - rhs is Jacobi, whose cyclic group the expansion folds; the
+    # per-monomial output must still list every monomial of each orbit.
+    x, y, z = Var(0), Var(1), Var(2)
+    lhs = _spec("xy_z+yz_x", 3, [(1, _m(_m(x, y), z)), (1, _m(_m(y, z), x))])
+    rhs = _spec("-zx_y", 3, [(-1, _m(_m(z, x), y))])
+    assert len(_layout(lhs.terms + tuple((-c, t) for c, t in rhs.terms))[3]) == 3
+    rng = random.Random(101)
+    for _ in range(3):
+        # e4 never multiplies, so it spans the annihilator: some vectors pass, some fail.
+        entries = {}
+        for i, j in itertools.product(range(1, 4), repeat=2):
+            for k in rng.sample(range(1, 5), 2):
+                entries[i, j, k] = F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 3)))
+        table = Multiplication.from_table(4, entries)
+        ann = annihilator(table)
+        assert ann.dim == 1
+        verdict = check_ann_equality(table, lhs, rhs, ann)
+        expected = plain_ann_obstructions(table, lhs, rhs, ann)
+        assert not verdict.holds
+        assert verdict.obstructions == expected
+        assert [str(p) for p in verdict.obstructions] == [str(p) for p in expected]
+
+
+def test_verdict_is_a_read_only_value(monkeypatch):
+    a = parse_poly("a")
+    verdict = Verdict(False, (a, Poly.const(2)))
+    assert verdict.holds is False and verdict.obstructions == (a, Poly.const(2))
+    assert verdict == Verdict(False, (a, Poly.const(2)))
+    assert verdict != Verdict(True, ()) and verdict != (False, (a, Poly.const(2)))
+    assert hash(verdict) == hash(Verdict(False, (a, Poly.const(2))))
+    assert repr(verdict) == "Verdict(holds=False, obstructions=(Poly(a), Poly(2)))"
+    assert repr(Verdict(True, ())) == "Verdict(holds=True, obstructions=())"
+    for name in ("holds", "obstructions", "other"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(verdict, name, None)
+    with pytest.raises(FrozenInstanceError):
+        del verdict.holds
+
+    square = kantor_square(rand_fraction_table(random.Random(103), 3))
+    checked = check_identity(square, builtin("mock_lie"))
+    with pytest.raises(FrozenInstanceError):
+        checked.obstructions = ()
+    for value in (verdict, checked):
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and hash(copy) == hash(value) and repr(copy) == repr(value)
+
+    # ``holds`` divides nothing; the first read of ``obstructions`` divides, once.
+    divisions = []
+    divide = Poly.__truediv__
+    monkeypatch.setattr(Poly, "__truediv__", lambda p, c: divisions.append(c) or divide(p, c))
+    twin = check_identity(square, builtin("mock_lie"))
+    assert twin.holds is False and not divisions
+    first = twin.obstructions
+    assert divisions and twin.obstructions is first and len(divisions) == len(first)
+    assert twin == checked == Verdict(False, first) and hash(twin) == hash(checked)
+    assert first == plain_obstructions(square, builtin("mock_lie"))
+
+
+def test_bundle_obstructions_are_divided_before_the_cross_spec_dedupe():
+    rng = random.Random(107)
+    x, y = Var(0), Var(1)
+    commutative = reslot(_builtin_spec("commutative"), 2, {0: 0})
+    # The same rational obstructions as ``commutative``, with common factor D0*D1
+    # instead of D0: the bracket terms cancel but still weight the others by D1.
+    padded = IdentitySpec("commutative_padded", 2, 2, commutative.terms + (
+        (F(1), App(1, x, y)), (F(-1), App(1, x, y)),
+    ))
+    for dim in (2, 3):
+        dot = rand_fraction_table(rng, dim, denominators=(2,), density=0.6)
+        bracket = rand_fraction_table(rng, dim, denominators=(3,), density=0.6)
+        assert _clear_denominators(dot)[1] != _clear_denominators(bracket)[1]
+        for bundle in (builtin("poisson"), builtin("generic_poisson"), (commutative, padded)):
+            assert not assert_matches_plain([dot, bracket], bundle).holds
+        verdict = check_identity([dot, bracket], (commutative, padded))
+        assert verdict.obstructions == check_identity([dot, bracket], commutative).obstructions
