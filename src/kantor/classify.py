@@ -27,12 +27,12 @@ verification bundle.  One driver, ``_classify``, runs stage 2, the merge
 with stage 1 and re-verification for every record, so a new structure
 costs one record, one wrapper and one golden.
 
-Stage-2 bookkeeping stays on ``Poly``'s packed keys: the facts the case
-split reads off each equation (its names, and the term count of each
-degree-1 name) come from one ``Poly.linear_counts()`` call, and content
-normalization picks its sign from ``Poly.first_coefficient()``.  A
-substitution passes the hypotheses that do not mention the substituted
-name through unchanged.
+Stage 2 runs the case split as a worklist of immutable ``_Branch``
+records: one loop pops a branch and emits it or pushes the children of
+one ``_step``.  Its bookkeeping stays on ``Poly``'s packed keys: the facts
+the case split reads off each equation (its names, and the term count of
+each degree-1 name) come from one ``Poly.linear_counts()`` call, and
+content normalization picks its sign from ``Poly.first_coefficient()``.
 
 Every returned family whose assignment is polynomial and which has no
 residual equations is re-verified against the defining identities of the
@@ -184,8 +184,8 @@ def _back_substitute(value: RationalValue, assignment: Mapping[str, RationalValu
     """``value`` with the solved unknowns of ``assignment`` it mentions substituted, in order.
 
     Precondition: the values of ``assignment`` mention free unknowns only
-    (``emit`` builds them in reverse solve order; ``_classify`` passes
-    finished families), so no substitution brings in a solved name.
+    (``case_split_solve`` builds them in reverse solve order; ``_classify``
+    passes finished families), so no substitution brings in a solved name.
     """
     mentioned = value.num.names() | value.den.names()
     for name, (num, den) in assignment.items():
@@ -259,7 +259,7 @@ class _Facts(NamedTuple):
 
 
 def _facts(q: Poly, variables: Mapping[str, Poly]) -> _Facts:
-    """What the case split reads off a content-normalized equation q.
+    """What the case split reads off equation q, which it content-normalizes first.
 
     ``names`` is q's name set and, with the term count of each degree-1
     name, comes from one ``Poly.linear_counts()`` over the packed keys;
@@ -269,6 +269,7 @@ def _facts(q: Poly, variables: Mapping[str, Poly]) -> _Facts:
     before it, in unknown order.  ``variables`` maps each unknown, in
     order, to its ``Poly.var``.
     """
+    q = _content_normalize(q)
     names, counts = q.linear_counts()
     linear = []
     for name, var in variables.items():
@@ -283,29 +284,156 @@ def _facts(q: Poly, variables: Mapping[str, Poly]) -> _Facts:
     return _Facts(q, names, None, linear)
 
 
+class _Branch(NamedTuple):
+    """An open branch of the case split: equations left, hypotheses (distinct,
+    each its own ``_split_inequation``), (unknown, value) pairs in solve
+    order, the splits taken, what is left of ``max_depth``, and ``_facts``'s
+    map, the same for every branch of a run.  A step never edits one."""
+
+    eqs: Tuple[_Facts, ...]
+    ineqs: Tuple[Poly, ...]
+    solved: Tuple[Tuple[str, RationalValue], ...]
+    labels: Tuple[str, ...]
+    depth: int
+    variables: Mapping[str, Poly]
+
+
+def _normalize(branch: _Branch) -> Optional[_Branch]:
+    """The branch without zero or repeated equations; None if one is a nonzero
+    constant or equals a hypothesis, so the branch has no solution."""
+    eqs = {r.equation: r for r in branch.eqs if not r.equation.is_zero()}
+    if any(q.is_constant() for q in eqs) or not eqs.keys().isdisjoint(branch.ineqs):
+        return None
+    return branch._replace(eqs=tuple(eqs.values()))
+
+
+def _add_inequations(ineqs: Tuple[Poly, ...], q: Poly) -> Tuple[Poly, ...]:
+    """The hypotheses extended with the factors of a nonzero q."""
+    out = list(ineqs)
+    for part in _split_inequation(q):
+        if part not in out:
+            out.append(part)
+    return tuple(out)
+
+
+def _assign(branch: _Branch, r: _Facts, name: str, value: RationalValue,
+            ineqs: Tuple[Poly, ...], label: Optional[str]) -> List[_Branch]:
+    """The child that solves equation r by ``name := value`` under hypotheses ``ineqs``.
+
+    A list of that one child, or an empty list when the substitution makes
+    a hypothesis zero or an equation a nonzero constant.  A labelled child
+    is a split and spends one depth; step 1 passes no label.  An equation or
+    hypothesis without ``name`` keeps its record, its place and its dedupe.
+    """
+    power = _powers(*value)
+    new_ineqs: Tuple[Poly, ...] = ()
+    for q in ineqs:
+        if name in q.names():
+            q = _subst_rational(q, name, power)
+            if q.is_zero():
+                return []
+            new_ineqs = _add_inequations(new_ineqs, q)
+        elif q not in new_ineqs:
+            # A stored hypothesis is its own split, so it passes through.
+            new_ineqs += (q,)
+    eqs = []
+    for e in branch.eqs:
+        if e is r:
+            continue
+        if name in e.names:
+            q = _subst_rational(e.equation, name, power)
+            if q.is_zero():
+                continue
+            if q.is_constant():
+                return []
+            e = _facts(q, branch.variables)
+        eqs.append(e)
+    split = () if label is None else (label,)
+    return [branch._replace(eqs=tuple(eqs), ineqs=new_ineqs, solved=branch.solved + ((name, value),),
+                            labels=branch.labels + split, depth=branch.depth - len(split))]
+
+
+def _step(branch: _Branch) -> Optional[List[_Branch]]:
+    """The children of a normalized branch, in solve order.
+
+    The first rule that applies makes them.  None when none does, as with
+    no equations left, or when step 4 is out of depth: the branch is then
+    emitted, its equations as residuals.
+    """
+    eqs, ineqs = branch.eqs, branch.ineqs
+    # 1. Unknowns occurring linearly with a rational coefficient, taking
+    #    the first equation, then the first unknown.
+    for r in eqs:
+        if r.first is not None:
+            name, parts = r.first
+            value = RationalValue(-parts.get(0, Poly.zero()) / parts[1].constant_value())
+            return _assign(branch, r, name, value, ineqs, None)
+
+    # 2. Univariate equations of degree <= 2 with rational roots.
+    for r in eqs:
+        if len(r.names) != 1:
+            continue
+        (name,) = r.names
+        roots = _univariate_roots(r.equation, name)
+        if roots is not None:
+            return [child for root in roots for child in _assign(
+                branch, r, name, RationalValue(Poly.const(root)), ineqs, f"{name} = {root}")]
+
+    # 3. Monomial equations split into disjoint variable-vanishing branches.
+    #    Equations are normalized, so a single term is not a constant.
+    for r in eqs:
+        if len(r.equation.terms) == 1:
+            children = []
+            for name in sorted(r.names):
+                children += _assign(branch, r, name, RationalValue(Poly.zero()), ineqs, f"{name} = 0")
+                # The later branches assume name != 0; a variable is its own split.
+                var = Poly.var(name)
+                if var not in ineqs:
+                    ineqs += (var,)
+            return children
+
+    # 4. Branch on a linear occurrence with a polynomial coefficient c;
+    #    prefer the fewest coefficient terms, then the fewest equation
+    #    terms, then the name, and the first such occurrence.  Steps 2 and
+    #    3 spend depth unchecked, so it may be below 0 here.
+    linear = [(key, r) for r in eqs for key in r.linear]
+    if branch.depth <= 0 or not linear:
+        return None
+    (_, _, name), r = min(linear, key=lambda item: item[0])
+    parts = r.equation.coeffs_in(name)
+    c, d = parts[1], parts.get(0, Poly.zero())
+    return _assign(branch, r, name, RationalValue(-d, c), _add_inequations(ineqs, c), f"{c} != 0") + [
+        branch._replace(eqs=eqs + (_facts(c, branch.variables),),
+                        labels=branch.labels + (f"{c} = 0",), depth=branch.depth - 1)]
+
+
 def case_split_solve(
     equations: Sequence[Poly], unknowns: Sequence[str], max_depth: int = 16
 ) -> List[SolutionFamily]:
     """Solve a polynomial system over the rationals by branch decomposition.
 
-    Strategy, in order: eliminate unknowns occurring linearly with a
-    rational coefficient; split univariate equations of degree at most
-    two at their rational roots; split monomial equations into disjoint
-    variable-vanishing branches; otherwise branch on a linear occurrence
+    Strategy, in order: 1. eliminate unknowns occurring linearly with a
+    rational coefficient; 2. split univariate equations of degree at most
+    two at their rational roots; 3. split monomial equations into disjoint
+    variable-vanishing branches; 4. otherwise branch on a linear occurrence
     whose coefficient c is a polynomial (one branch assumes c != 0 and
-    eliminates, the other adds c = 0).  At the depth cap the remaining
-    equations are reported as residuals, never dropped.  Branches whose
-    hypotheses become contradictory are pruned.
+    eliminates, the other adds c = 0).  Where no rule applies the remaining
+    equations are reported as residuals under the label ``depth cap``,
+    never dropped.  Branches whose hypotheses become contradictory are
+    pruned.
 
-    Equations and hypotheses (inequations) are kept content-normalized, so
-    equal constraints compare equal: hypotheses enter only through
-    ``add_inequations``, and each equation travels through ``descend`` as
-    one ``_Facts`` record of its content-normalized form, made by
-    ``record`` when the equation is made: for the input system, for each
-    equation a substitution changes, and for step 4's ``c = 0`` branch.
-    An equation a substitution leaves alone keeps its record, and so does a
-    hypothesis: each stored hypothesis is its own ``_split_inequation``, so
-    passing it through keeps the list, its order and its dedupe.
+    ``max_depth`` bounds step 4 only.  Each split of steps 2, 3 and 4
+    spends one depth and step 1 spends none, but steps 2 and 3 are never
+    refused, so depth may fall below 0; step 4 splits only while it is
+    above 0.
+
+    The branches are immutable ``_Branch`` records on a worklist.  The loop
+    pops one, normalizes it, and either emits it as a family or pushes the
+    children ``_step`` gives in reverse, so families come out depth first
+    in the order of the rules, and the Python stack does not grow with the
+    system.  Equations (through ``_facts``) and hypotheses (through
+    ``_add_inequations``) are kept content-normalized, so equal constraints
+    compare equal.
 
     ``TypeError`` unless ``max_depth`` is an ``int`` (not a ``bool``);
     ``ValueError`` if it is negative.
@@ -317,154 +445,23 @@ def case_split_solve(
     unknowns = tuple(unknowns)
     variables = {name: Poly.var(name) for name in unknowns}
     families: List[SolutionFamily] = []
-
-    def record(q: Poly) -> _Facts:
-        return _facts(_content_normalize(q), variables)
-
-    def normalize(eqs: Sequence[_Facts], ineqs: Sequence[Poly]):
-        out: Dict[Poly, _Facts] = {}
-        for r in eqs:
-            q = r.equation
-            if q.is_zero():
-                continue
-            if q.is_constant():
-                return None
-            out.setdefault(q, r)
-        if not out.keys().isdisjoint(ineqs):
-            return None
-        return list(out.values())
-
-    def add_inequations(ineqs, q):
-        """Extend the hypothesis list with the factors of q; None if q is 0."""
-        if q.is_zero():
-            return None
-        out = list(ineqs)
-        for part in _split_inequation(q):
-            if part not in out:
-                out.append(part)
-        return out
-
-    def substitute_all(eqs, ineqs, name, value: RationalValue):
-        """Hypotheses first, then equations; (None, None) at the first contradiction."""
-        power = _powers(*value)
-        new_ineqs: Optional[List[Poly]] = []
-        for q in ineqs:
-            if name not in q.names():
-                # A stored hypothesis is its own split, so it passes through.
-                if q not in new_ineqs:
-                    new_ineqs.append(q)
-                continue
-            new_ineqs = add_inequations(new_ineqs, _subst_rational(q, name, power))
-            if new_ineqs is None:
-                return None, None
-        new_eqs = []
-        for r in eqs:
-            if name in r.names:
-                q = _subst_rational(r.equation, name, power)
-                if q.is_zero():
-                    continue
-                if q.is_constant():
-                    return None, None
-                r = record(q)
-            new_eqs.append(r)
-        return new_eqs, new_ineqs
-
-    def emit(assign_order, residual, ineqs, labels):
+    stack = [_Branch(tuple(_facts(q, variables) for q in equations), (), (), (), max_depth, variables)]
+    while stack:
+        branch = _normalize(stack.pop())
+        if branch is None:
+            continue
+        children = _step(branch)
+        if children is not None:
+            stack.extend(reversed(children))
+            continue
         final: Dict[str, RationalValue] = {}
-        for name, value in reversed(assign_order):
+        for name, value in reversed(branch.solved):
             final[name] = _back_substitute(value, final)
-        assigned = set(final)
-        free = tuple(n for n in unknowns if n not in assigned)
-        families.append(
-            SolutionFamily(
-                unknowns=unknowns,
-                assignment=final,
-                free=free,
-                equations=tuple(residual),
-                inequations=tuple(ineqs),
-                label="; ".join(labels) if labels else "general",
-            )
-        )
-
-    def assign_and_descend(eqs, r, name, value: RationalValue, assign_order, ineqs, labels,
-                           depth):
-        rest = [e for e in eqs if e is not r]
-        new_eqs, new_ineqs = substitute_all(rest, ineqs, name, value)
-        if new_eqs is None:
-            return
-        descend(new_eqs, assign_order + [(name, value)], new_ineqs, labels, depth)
-
-    def descend(eqs, assign_order, ineqs, labels, depth):
-        eqs = normalize(eqs, ineqs)
-        if eqs is None:
-            return
-        if not eqs:
-            emit(assign_order, [], ineqs, labels)
-            return
-
-        # 1. Unknowns occurring linearly with a rational coefficient, taking
-        #    the first equation, then the first unknown.
-        for r in eqs:
-            if r.first is not None:
-                name, parts = r.first
-                value = RationalValue(-parts.get(0, Poly.zero()) / parts[1].constant_value())
-                assign_and_descend(eqs, r, name, value, assign_order, ineqs, labels, depth)
-                return
-
-        # 2. Univariate equations of degree <= 2 with rational roots.
-        for r in eqs:
-            if len(r.names) != 1:
-                continue
-            (name,) = r.names
-            roots = _univariate_roots(r.equation, name)
-            if roots is None:
-                continue
-            for root in roots:
-                assign_and_descend(
-                    eqs, r, name, RationalValue(Poly.const(root)), assign_order, ineqs,
-                    labels + [f"{name} = {root}"], depth - 1,
-                )
-            return
-
-        # 3. Monomial equations split into disjoint variable-vanishing branches.
-        #    Equations are normalized, so a single term is not a constant.
-        for r in eqs:
-            if len(r.equation.terms) != 1:
-                continue
-            names = sorted(r.names)
-            hypotheses = list(ineqs)
-            for pos, name in enumerate(names):
-                assign_and_descend(
-                    eqs, r, name, RationalValue(Poly.zero()), assign_order, hypotheses,
-                    labels + [f"{name} = 0"], depth - 1,
-                )
-                if pos + 1 < len(names):
-                    updated = add_inequations(hypotheses, Poly.var(name))
-                    if updated is None:
-                        return
-                    hypotheses = updated
-            return
-
-        # 4. Branch on a linear occurrence with a polynomial coefficient;
-        #    prefer the fewest coefficient terms, then the fewest equation
-        #    terms, then the name, and the first such occurrence.
-        linear = [(key, r) for r in eqs for key in r.linear]
-        if depth > 0 and linear:
-            (_, _, name), r = min(linear, key=lambda item: item[0])
-            parts = r.equation.coeffs_in(name)
-            c, d = parts[1], parts.get(0, Poly.zero())
-            branch_ineqs = add_inequations(ineqs, c)
-            if branch_ineqs is not None:
-                assign_and_descend(
-                    eqs, r, name, RationalValue(-d, c), assign_order, branch_ineqs,
-                    labels + [f"{c} != 0"], depth - 1,
-                )
-            descend(eqs + [record(c)], assign_order, ineqs, labels + [f"{c} = 0"], depth - 1)
-            return
-
-        emit(assign_order, [r.equation for r in eqs], ineqs, labels + ["depth cap"])
-
-    descend([record(q) for q in equations], [], [], [], max_depth)
+        labels = branch.labels + ("depth cap",) if branch.eqs else branch.labels
+        families.append(SolutionFamily(
+            unknowns=unknowns, assignment=final, free=tuple(n for n in unknowns if n not in final),
+            equations=tuple(r.equation for r in branch.eqs), inequations=branch.ineqs,
+            label="; ".join(labels) or "general"))
     return families
 
 

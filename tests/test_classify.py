@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction as F
 
@@ -17,8 +18,12 @@ from kantor.classify import (
     _STRUCTURES,
     RationalValue,
     SolutionFamily,
+    _Branch,
     _content_normalize,
+    _facts,
+    _normalize,
     _split_inequation,
+    _step,
     _univariate_roots,
     antisymmetric_ansatz,
     case_split_solve,
@@ -575,6 +580,77 @@ def test_case_split_prunes_after_one_equation_vanishes_and_a_later_one_is_consta
     assert family.label == "y = 0; z = 0; -x != 0"
     assert family.describe() == "w = (-1)/(-x); y = 0; z = 0; free: x; assuming: x != 0"
     assert_case_split_invariants([family])
+
+
+def test_case_split_long_linear_chain_keeps_a_flat_stack():
+    # Each elimination is a step of the worklist, not a nested call, so a
+    # chain longer than the recursion limit allows is solved.
+    xs = [Poly.var(f"x{i}") for i in range(601)]
+    system = [xs[i] - 2 * xs[i + 1] for i in range(600)]
+    assert len(system) > sys.getrecursionlimit() // 2
+    [family] = case_split_solve(system, [f"x{i}" for i in range(601)])
+    assert family.free == ("x600",)
+    assert family.assignment["x0"] == (2 ** 600 * xs[600], 1)
+    assert family.label == "general" and not family.equations
+
+
+def branch_of(system, unknowns, depth):
+    variables = {name: Poly.var(name) for name in unknowns}
+    facts = tuple(_facts(parse_poly(q), variables) for q in system)
+    return _normalize(_Branch(facts, (), (), (), depth, variables))
+
+
+def summary(branch):
+    """A branch as printed equations, hypotheses, solved values, labels and depth."""
+    return ([str(r.equation) for r in branch.eqs], [str(q) for q in branch.ineqs],
+            [(name, str(value)) for name, value in branch.solved], branch.labels, branch.depth)
+
+
+def test_step_rule_1_eliminates_without_a_label_or_depth():
+    [child] = _step(branch_of(["2*x - y", "x*y - 3"], "xy", 3))
+    assert summary(child) == (["6 - y^2"], [], [("x", "1/2*y")], (), 3)
+
+
+def test_step_rule_2_splits_at_the_rational_roots():
+    assert [summary(child) for child in _step(branch_of(["g^2 - g"], "g", 1))] == [
+        ([], [], [("g", "0")], ("g = 0",), 0),
+        ([], [], [("g", "1")], ("g = 1",), 0),
+    ]
+
+
+def test_step_rule_3_assumes_the_earlier_variables_nonzero():
+    assert [summary(child) for child in _step(branch_of(["x*y"], "xy", 1))] == [
+        ([], [], [("x", "0")], ("x = 0",), 0),
+        ([], ["x"], [("y", "0")], ("y = 0",), 0),
+    ]
+
+
+def test_step_rule_4_assumes_the_coefficient_nonzero_then_zero():
+    # c*g - 1 is stored as 1 - c*g; the name breaks the tie, so c is
+    # eliminated and its coefficient -g is the pivot.
+    assert [summary(child) for child in _step(branch_of(["c*g - 1"], "cg", 1))] == [
+        ([], ["g"], [("c", "(-1)/(-g)")], ("-g != 0",), 0),
+        (["1 - c*g", "g"], [], [], ("-g = 0",), 0),
+    ]
+    assert _step(branch_of(["c*g - 1"], "cg", 0)) is None
+
+
+def test_step_drops_a_child_whose_substitution_leaves_a_constant():
+    # g = 0 turns g*h - 1 into -1, so only the g = 1 child is returned.
+    [child] = _step(branch_of(["g^2 - g", "g*h - 1"], "gh", 1))
+    assert summary(child) == (["1 - h"], [], [("g", "1")], ("g = 1",), 0)
+
+
+def test_max_depth_bounds_only_step_4():
+    # Step 2 splits g^2 - g at depth 1 and at depth 0 alike; step 4 would
+    # need depth above 0 after it, so 1 - c*h stays residual in both runs.
+    g, c, h = Poly.var("g"), Poly.var("c"), Poly.var("h")
+    capped = case_split_solve([g * g - g, c * h - 1], ["c", "g", "h"], max_depth=0)
+    assert case_split_solve([g * g - g, c * h - 1], ["c", "g", "h"], max_depth=1) == capped
+    assert [(f.label, [str(q) for q in f.equations]) for f in capped] == [
+        ("g = 0; depth cap", ["1 - c*h"]),
+        ("g = 1; depth cap", ["1 - c*h"]),
+    ]
 
 
 def reference_split_inequation(q):
