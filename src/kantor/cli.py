@@ -216,7 +216,13 @@ def _cmd_classify(args) -> int:
     # Families share most of their values: print each distinct one once.
     text = functools.lru_cache(maxsize=None)(str)
     if args.json:
-        print(json.dumps([_family_payload(f, text) for f in families], indent=2))
+        # One write per family; together they are ``json.dumps(payloads, indent=2)``.
+        opening = "[\n  "
+        for family in families:
+            payload = json.dumps(_family_payload(family, text), indent=2)
+            sys.stdout.write(opening + payload.replace("\n", "\n  "))
+            opening = ",\n  "
+        sys.stdout.write("\n]\n" if families else "[]\n")
         return 0
     ansatz, _ = _STRUCTURES[args.kind].ansatz(mult.dim)
     for idx, family in enumerate(families, 1):

@@ -28,10 +28,14 @@ A spec may be unchanged when its linear variables are renamed, as Jacobi is
 under x -> y -> z -> x.  Basis tuples in one orbit of that symmetry group
 then give equal coefficients, so only one representative per orbit is
 expanded: the member whose readable generic monomial is least, which is
-where ``check_identity`` keeps their common obstructions anyway.  The
-group and the representatives are built on first use and cached.  A
-``Verdict`` holds the obstructions undivided with their common factor and
-divides them back only when ``obstructions`` is first read.
+where ``check_identity`` keeps their common obstructions anyway.
+
+Each spec computes its layout (linear variables, shapes, symmetry group and
+products per slot) once, on first use, and carries it.  Both checkers expand
+through one entry, ``_expansions``, which checks the multiplications and
+clears their denominators once per call.  A ``Verdict`` holds the
+obstructions undivided with their common factor and divides them back only
+when ``obstructions`` is first read.
 
 The ``builtin`` registry returns, for each named variety, the tuple of
 identity specs that define it (several for bundled definitions such as
@@ -46,7 +50,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from .algebra import (_ONE, Element, Multiplication, Subspace, _clear_denominators, _product,
                       centralizer, multiply)
@@ -73,6 +77,14 @@ class App(Term):
     right: Term
 
 
+def _nodes(term: Term) -> Iterator[Term]:
+    """The term's nodes, each product before its sides: the leaves come left to right."""
+    yield term
+    if isinstance(term, App):
+        yield from _nodes(term.left)
+        yield from _nodes(term.right)
+
+
 @dataclass(frozen=True)
 class _Generic(Term):
     """A shape's leaf for a variable that stays a generic element."""
@@ -90,15 +102,50 @@ class IdentitySpec:
     terms: Tuple[Tuple[Fraction, Term], ...]
 
     def __post_init__(self):
-        stack = [term for _, term in self.terms]
-        while stack:
-            term = stack.pop()
-            if isinstance(term, App):
-                if not 0 <= term.slot < self.nslots:
-                    raise SlotMismatch(f"{self.name!r}: slot {term.slot} not in range({self.nslots})")
-                stack += (term.left, term.right)
-            elif not 0 <= term.index < self.nvars:
-                raise IndexOutOfRange(f"{self.name!r}: variable {term.index} not in range({self.nvars})")
+        if not self.terms:
+            raise ValueError(f"identity {self.name!r} has no terms")
+        for node in (node for _, term in self.terms for node in _nodes(term)):
+            if isinstance(node, App):
+                if not 0 <= node.slot < self.nslots:
+                    raise SlotMismatch(f"{self.name!r}: slot {node.slot} not in range({self.nslots})")
+            elif not 0 <= node.index < self.nvars:
+                raise IndexOutOfRange(f"{self.name!r}: variable {node.index} not in range({self.nvars})")
+
+    @functools.cached_property
+    def _layout(self):
+        """``(linear, shapes, layouts, group, degrees)``: the variables occurring once in
+        every term, the distinct shapes, per term ``(s, perm)``: its shape is ``shapes[s]``,
+        with ``linear[i]`` at position ``perm[i]``, the symmetry group of the linear
+        variables, and per slot each term's number of products of that slot.  Jacobi's
+        (zx)y is (v0 v1) v2, perm (1, 2, 0).  Kept on the spec from its first use, outside
+        the fields that ``==``, ``hash`` and ``repr`` read.
+
+        The group holds each permutation sigma that maps the multiset of
+        ``(coeff, s, perm)`` onto itself through perm -> perm o sigma: renaming the linear
+        variables by sigma leaves the spec unchanged, sign included.  Such a sigma takes
+        the first term to one of the same coefficient and shape, so those are the only
+        candidates.  Jacobi's group is cyclic of order 3; ``commutative``'s is trivial.
+        """
+        nodes = [list(_nodes(term)) for _, term in self.terms]
+        leaves = [[node.index for node in term if isinstance(node, Var)] for term in nodes]
+        linear = tuple(v for v in sorted(set(leaves[0])) if all(vs.count(v) == 1 for vs in leaves))
+        shapes: Dict[Term, int] = {}
+        layouts = []
+        for _, term in self.terms:
+            order: List[int] = []
+            shape = _shape(term, linear, order)
+            layouts.append((shapes.setdefault(shape, len(shapes)), tuple(map(order.index, linear))))
+        signature = [(c, s, perm) for (c, _), (s, perm) in zip(self.terms, layouts)]
+        c0, s0, p0 = signature[0]
+        candidates = [tuple(map(p0.index, p)) for c, s, p in signature if (c, s) == (c0, s0)]
+        signature.sort()
+        group = tuple(
+            sigma for sigma in candidates
+            if sorted((c, s, tuple(p[j] for j in sigma)) for c, s, p in signature) == signature
+        )
+        degrees = tuple(tuple(sum(isinstance(node, App) and node.slot == slot for node in term)
+                              for term in nodes) for slot in range(self.nslots))
+        return linear, tuple(shapes), tuple(layouts), group, degrees
 
 
 @dataclass(frozen=True)
@@ -176,10 +223,7 @@ def _mk(name: str, nvars: int, lin: Lin, nslots: int = 1) -> IdentitySpec:
     merged: Dict[Term, Fraction] = {}
     for coeff, term in lin:
         merged[term] = merged.get(term, Fraction(0)) + coeff
-    terms = tuple((c, t) for t, c in merged.items() if c)
-    if not terms:
-        raise ValueError(f"identity {name!r} reduced to the empty combination")
-    return IdentitySpec(name, nvars, nslots, terms)
+    return IdentitySpec(name, nvars, nslots, tuple((c, t) for t, c in merged.items() if c))
 
 
 def _associator(x: Lin, y: Lin, z: Lin, slot: int = 0) -> Lin:
@@ -403,18 +447,6 @@ def fresh_generic_names(nvars: int, dim: int, avoid: Iterable[str]) -> List[List
     return [[f"{prefix}{v + 1}_{i + 1}" for i in range(dim)] for v in range(nvars)]
 
 
-def _slot_degree(term: Term, slot: int) -> int:
-    """How many products of the given slot the term applies."""
-    if isinstance(term, Var):
-        return 0
-    return (term.slot == slot) + _slot_degree(term.left, slot) + _slot_degree(term.right, slot)
-
-
-def _leaves(term: Term) -> List[int]:
-    """The term's variables, left to right."""
-    return [term.index] if isinstance(term, Var) else _leaves(term.left) + _leaves(term.right)
-
-
 def _shape(term: Term, linear: Tuple[int, ...], order: List[int]) -> Term:
     """The term with its linear variables numbered by position, listed in ``order``."""
     if isinstance(term, Var):
@@ -423,38 +455,6 @@ def _shape(term: Term, linear: Tuple[int, ...], order: List[int]) -> Term:
         order.append(term.index)
         return Var(len(order) - 1)
     return App(term.slot, _shape(term.left, linear, order), _shape(term.right, linear, order))
-
-
-@functools.lru_cache(maxsize=1 << 10)
-def _layout(terms: Tuple[Tuple[Fraction, Term], ...]):
-    """``(linear, shapes, layouts, group)``: the variables occurring once in every term,
-    the distinct shapes, per term ``(s, perm)``: its shape is ``shapes[s]``, with
-    ``linear[i]`` at position ``perm[i]``, and the symmetry group of the linear variables.
-    Jacobi's (zx)y is (v0 v1) v2, perm (1, 2, 0).
-
-    The group holds each permutation sigma that maps the multiset of
-    ``(coeff, s, perm)`` onto itself through perm -> perm o sigma: renaming the linear
-    variables by sigma leaves the spec unchanged, sign included.  Such a sigma takes
-    the first term to one of the same coefficient and shape, so those are the only
-    candidates.  Jacobi's group is cyclic of order 3; ``commutative``'s is trivial.
-    """
-    leaves = [_leaves(term) for _, term in terms]
-    linear = tuple(v for v in sorted(set(leaves[0])) if all(vs.count(v) == 1 for vs in leaves))
-    shapes: Dict[Term, int] = {}
-    layouts = []
-    for _, term in terms:
-        order: List[int] = []
-        shape = _shape(term, linear, order)
-        layouts.append((shapes.setdefault(shape, len(shapes)), tuple(map(order.index, linear))))
-    signature = [(c, s, perm) for (c, _), (s, perm) in zip(terms, layouts)]
-    c0, s0, p0 = signature[0]
-    candidates = [tuple(map(p0.index, p)) for c, s, p in signature if (c, s) == (c0, s0)]
-    signature.sort()
-    group = tuple(
-        sigma for sigma in candidates
-        if sorted((c, s, tuple(p[j] for j in sigma)) for c, s, p in signature) == signature
-    )
-    return linear, tuple(shapes), tuple(layouts), group
 
 
 @functools.lru_cache(maxsize=1 << 10)
@@ -501,7 +501,7 @@ def _table(shape: Term, tensors, dim: int, names) -> Dict[Tuple[int, ...], Dict[
 
 
 def _expand_cleared(
-    terms: Tuple[Tuple[Fraction, Term], ...],
+    spec: IdentitySpec,
     cleared: Sequence[Multiplication],
     denominators: Sequence[int],
     names: Sequence[Sequence[str]],
@@ -511,7 +511,7 @@ def _expand_cleared(
     ``cleared[s]`` is slot s's tensor times ``denominators[s]``.  A term
     applying deg_s products of slot s then comes out D_s^deg_s times too
     large, so each term is weighted by prod_s D_s^(top_s - deg_s), top_s
-    being the largest deg_s over ``terms``.  Returns ``(E, C)``: E maps
+    being the largest deg_s over the spec's terms.  Returns ``(E, C)``: E maps
     ``(coordinate, readable generic monomial)`` to its nonzero coefficient,
     and the expansion over the original tensors is E divided by
     C = prod_s D_s^top_s.  Variable v's coordinates are named ``names[v]``;
@@ -519,19 +519,18 @@ def _expand_cleared(
     E holds the linear variables' orbit representatives only: the rest of
     an orbit repeats its representative's coefficients (``_orbit_keys``).
     """
-    weights, common = [1] * len(terms), 1
-    for slot, d in enumerate(denominators):
+    linear, shapes, layouts, symmetry, degrees = spec._layout
+    weights, common = [1] * len(spec.terms), 1
+    for d, counts in zip(denominators, degrees):
         if d != 1:
-            degrees = [_slot_degree(term, slot) for _, term in terms]
-            top = max(degrees)
-            weights = [w * d ** (top - g) for w, g in zip(weights, degrees)]
+            top = max(counts)
+            weights = [w * d ** (top - g) for w, g in zip(weights, counts)]
             common *= d ** top
     dim = cleared[0].dim
-    linear, shapes, layouts, symmetry = _layout(terms)
     representatives = _representatives(linear, symmetry, dim) if len(symmetry) > 1 else None
     tables = [_table(shape, cleared, dim, names) for shape in shapes]
     pairs: Dict[Tuple[int, Tuple[int, ...]], List[Tuple[Poly, Poly]]] = {}
-    for (coeff, _), weight, (s, perm) in zip(terms, weights, layouts):
+    for (coeff, _), weight, (s, perm) in zip(spec.terms, weights, layouts):
         scale = Poly.const(coeff * weight)
         for at, value in tables[s].items():
             at = tuple(at[p] for p in perm)
@@ -547,9 +546,9 @@ def _expand_cleared(
     return expanded, common
 
 
-def _orbit_keys(expanded, terms, names):
+def _orbit_keys(expanded, spec, names):
     """``_expand_cleared``'s E with every member of each representative's orbit."""
-    linear, _, _, group = _layout(terms)
+    linear, _, _, group, _ = spec._layout
     out = {}
     for sigma in group:
         # at o sigma gives linear[j] the index that at gives linear[sigma[j]].
@@ -572,14 +571,33 @@ def _monomial_generators(modulo: Sequence[Poly]) -> List[Poly]:
     return list(modulo)
 
 
-def _slots(mults: Union[Multiplication, Sequence[Multiplication]]) -> List[Multiplication]:
-    """The multiplications as a list: at least one, all of one dimension."""
+def _expansions(
+    mults: Union[Multiplication, Sequence[Multiplication]],
+    specs: Sequence[IdentitySpec],
+    modulo: Sequence[Poly] = (),
+) -> Iterator[Tuple[List[List[str]], Dict[Tuple[int, Monomial], Poly], int]]:
+    """Each spec's generic names and ``_expand_cleared``'s ``(E, C)`` on the multiplications.
+
+    Before any expansion: at least one multiplication, all of one dimension, and
+    ``modulo`` of single monomials (``_monomial_generators``).  Each table is cleared
+    of denominators once for all the specs, and the generic names avoid every name of
+    the tables and of ``modulo``.  A spec needs one slot per multiplication.
+    """
     mults = [mults] if isinstance(mults, Multiplication) else list(mults)
     if not mults:
         raise SlotMismatch("no multiplications supplied")
     if any(m.dim != mults[0].dim for m in mults):
         raise DimMismatch("multiplications act on different dimensions")
-    return mults
+    avoid = set().union(*(g.names() for g in _monomial_generators(modulo)),
+                        *(m.names() for m in mults))
+    cleared, denominators = zip(*map(_clear_denominators, mults))
+    for spec in specs:
+        if spec.nslots != len(mults):
+            raise SlotMismatch(
+                f"identity {spec.name!r} needs {spec.nslots} multiplications, got {len(mults)}"
+            )
+        names = fresh_generic_names(spec.nvars, mults[0].dim, avoid)
+        yield (names, *_expand_cleared(spec, cleared, denominators, names))
 
 
 def check_identity(
@@ -613,27 +631,10 @@ def check_identity(
     known at once; the division by the common factor, and the dedupe
     across a bundle, wait for the first read of ``obstructions``.
     """
-    mults = _slots(mults)
     specs = (spec,) if isinstance(spec, IdentitySpec) else tuple(spec)
-    dim = mults[0].dim
-    gens = _monomial_generators(modulo)
-
-    avoid = set()
-    for m in mults:
-        avoid |= m.names()
-    for g in modulo:
-        avoid |= g.names()
-    cleared, denominators = zip(*map(_clear_denominators, mults))
-
     undivided = []
-    for one in specs:
-        if one.nslots != len(mults):
-            raise SlotMismatch(
-                f"identity {one.name!r} needs {one.nslots} multiplications, got {len(mults)}"
-            )
-        names = fresh_generic_names(one.nvars, dim, avoid)
-        expanded, common = _expand_cleared(one.terms, cleared, denominators, names)
-        reduced = dict.fromkeys(expanded[key].reduce_monomials(gens) for key in sorted(expanded))
+    for _, expanded, common in _expansions(mults, specs, modulo):
+        reduced = dict.fromkeys(expanded[key].reduce_monomials(modulo) for key in sorted(expanded))
         undivided.append((tuple(coeff for coeff in reduced if not coeff.is_zero()), common))
     return Verdict._lazy(undivided)
 
@@ -652,23 +653,16 @@ def check_ann_equality(
     per basis index), divided back by the common factor, must be rational
     and must lie in the span of ``ann``.
     """
-    mults = _slots(mults)
-    dim = mults[0].dim
+    if lhs.nslots != rhs.nslots:
+        raise SlotMismatch(f"{lhs.name!r} and {rhs.name!r} use different numbers of multiplications")
+    difference = IdentitySpec(f"{lhs.name} - {rhs.name}", max(lhs.nvars, rhs.nvars), lhs.nslots,
+                              lhs.terms + tuple((-c, t) for c, t in rhs.terms))
+    (names, diff, common), = _expansions(mults, (difference,))
+    dim = len(names[0])
     if ann.ambient != dim:
         raise DimMismatch("annihilator ambient dimension differs")
-    if lhs.nslots != len(mults) or rhs.nslots != len(mults):
-        raise SlotMismatch("slot count differs from the number of multiplications")
-    nvars = max(lhs.nvars, rhs.nvars)
-
-    avoid = set()
-    for m in mults:
-        avoid |= m.names()
-    names = fresh_generic_names(nvars, dim, avoid)
-    cleared, denominators = zip(*map(_clear_denominators, mults))
-    terms = lhs.terms + tuple((-c, t) for c, t in rhs.terms)
-    diff, common = _expand_cleared(terms, cleared, denominators, names)
     by_monomial: Dict[Monomial, List[Poly]] = {}
-    for (k, mono), coeff in _orbit_keys(diff, terms, names).items():
+    for (k, mono), coeff in _orbit_keys(diff, difference, names).items():
         by_monomial.setdefault(mono, [Poly.zero()] * dim)[k] = coeff if common == 1 else coeff / common
 
     obstructions: List[Poly] = []

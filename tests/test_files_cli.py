@@ -139,6 +139,16 @@ def test_cli_check_monomial_constraint_golden():
     assert out == (GOLDEN / "check_C8.txt").read_text()
 
 
+def test_cli_check_two_slot_bundles_golden():
+    # Two-slot bundles with parameters, reduced modulo C8's monomial constraints,
+    # each bundle's repeated obstructions kept once.
+    code, out, err = run_cli(
+        "check", "catalog:C8", "--id", "left_novikov_poisson,novikov_poisson_nva,transposed_poisson"
+    )
+    assert code == 4 and err == ""
+    assert out == (GOLDEN / "check_C8_pair.txt").read_text()
+
+
 def test_cli_square_fractional_golden():
     code, out, err = run_cli("square", str(GOLDEN / "frac3.json"))
     assert code == 0 and err == ""
@@ -301,6 +311,32 @@ def test_cli_classify_golden(args, golden):
     code, out, _ = run_cli("classify", *args)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def test_cli_classify_json_writes_one_family_at_a_time(monkeypatch):
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+        def flush(self):
+            pass
+
+    out = Recorder()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["classify", "postlie", "catalog:heis4", "--max-depth", "4", "--json"]) == 0
+    assert "".join(out.writes) == (GOLDEN / "classify_postlie_heis4_depth4.json").read_text()
+    # A family's object opens on a line indented by two spaces, its fields by four.
+    assert max(write.count("\n  {") for write in out.writes) == 1
+    assert sum(write.count("\n  {") for write in out.writes) > 1
+
+    monkeypatch.setattr(kantor.cli, "postlie_structures", lambda mult, max_depth: [])
+    out.writes.clear()
+    assert main(["classify", "postlie", "catalog:heis4", "--json"]) == 0
+    assert "".join(out.writes) == json.dumps([], indent=2) + "\n"
 
 
 def test_cli_classify_heis4_depth6_digest():

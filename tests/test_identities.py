@@ -29,7 +29,7 @@ from kantor.identities import (
     IdentitySpec,
     Var,
     Verdict,
-    _layout,
+    _mk,
     _representatives,
     builtin,
     builtin_names,
@@ -637,7 +637,7 @@ def _renamed(term, mapping):
 
 def brute_force_group(spec):
     """Permutations sigma with the spec unchanged when linear[i] is renamed linear[sigma[i]]."""
-    linear = _layout(spec.terms)[0]
+    linear = spec._layout[0]
     original = _sum_of_terms(spec.terms)
     return {
         sigma for sigma in itertools.permutations(range(len(linear)))
@@ -678,7 +678,7 @@ def _builtin_spec(name):
 
 def test_symmetry_groups_of_the_linear_variables():
     def group(spec):
-        return set(_layout(spec.terms)[3])
+        return set(spec._layout[3])
 
     assert group(_builtin_spec("jacobi")) == {(0, 1, 2), (1, 2, 0), (2, 0, 1)}
     assert group(_builtin_spec("anticommutative")) == {(0, 1), (1, 0)}
@@ -690,7 +690,7 @@ def test_symmetry_groups_of_the_linear_variables():
     nontrivial = set()
     for name, spec in specs.items():
         assert group(spec) == brute_force_group(spec), name
-        assert _layout(spec.terms)[3][0] == tuple(range(len(_layout(spec.terms)[0]))), name
+        assert spec._layout[3][0] == tuple(range(len(spec._layout[0]))), name
         if len(group(spec)) > 1:
             nontrivial.add(name)
     assert nontrivial == set(SYMMETRIC_BUILTINS) | {"s3_sum", "xz_swap"}
@@ -767,7 +767,8 @@ def test_ann_equality_expands_each_orbit_back_to_every_monomial():
     x, y, z = Var(0), Var(1), Var(2)
     lhs = _spec("xy_z+yz_x", 3, [(1, _m(_m(x, y), z)), (1, _m(_m(y, z), x))])
     rhs = _spec("-zx_y", 3, [(-1, _m(_m(z, x), y))])
-    assert len(_layout(lhs.terms + tuple((-c, t) for c, t in rhs.terms))[3]) == 3
+    difference = IdentitySpec("lhs - rhs", 3, 1, lhs.terms + tuple((-c, t) for c, t in rhs.terms))
+    assert len(difference._layout[3]) == 3
     rng = random.Random(101)
     for _ in range(3):
         # e4 never multiplies, so it spans the annihilator: some vectors pass, some fail.
@@ -837,3 +838,42 @@ def test_bundle_obstructions_are_divided_before_the_cross_spec_dedupe():
             assert not assert_matches_plain([dot, bracket], bundle).holds
         verdict = check_identity([dot, bracket], (commutative, padded))
         assert verdict.obstructions == check_identity([dot, bracket], commutative).obstructions
+
+
+def test_an_empty_spec_is_refused_when_built():
+    with pytest.raises(ValueError, match="'empty' has no terms"):
+        IdentitySpec("empty", 1, 1, ())
+    x, y = Var(0), Var(1)
+    # A combination that cancels to nothing is refused the same way.
+    with pytest.raises(ValueError, match="'cancels' has no terms"):
+        _mk("cancels", 2, [(F(1), App(0, x, y)), (F(-1), App(0, x, y))])
+
+
+def test_ann_equality_sides_with_different_slot_counts_are_a_slot_mismatch():
+    x, y = Var(0), Var(1)
+    one_slot = _spec("xy", 2, [(1, App(0, x, y))])
+    two_slot = IdentitySpec("xy2", 2, 2, one_slot.terms)
+    m = Multiplication.from_table(2, {(1, 1, 1): 1})
+    with pytest.raises(SlotMismatch):
+        check_ann_equality([m, m], two_slot, one_slot, annihilator(m))
+
+
+def test_the_layout_is_kept_on_the_spec_outside_its_fields():
+    spec = _builtin_spec("jacobi")
+    fresh = IdentitySpec(spec.name, spec.nvars, spec.nslots, spec.terms)
+    assert spec._layout is spec._layout
+    assert "_layout" not in fresh.__dict__
+    assert fresh == spec and hash(fresh) == hash(spec) and repr(fresh) == repr(spec)
+    assert fresh._layout == spec._layout
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy._layout == spec._layout
+
+
+def test_a_warm_check_hashes_no_term(monkeypatch):
+    m = Multiplication.from_table(2, {(1, 2, 1): F(1, 2), (2, 1, 2): 1, (2, 2, 1): -1})
+    first = check_identity(m, builtin("jacobi"))
+    hashes = []
+    for cls in (Var, App):
+        monkeypatch.setattr(cls, "__hash__", lambda term, h=cls.__hash__: hashes.append(term) or h(term))
+    assert check_identity(m, builtin("jacobi")) == first
+    assert hashes == []
