@@ -29,7 +29,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linsolve
 from .errors import DimMismatch, SymbolicEntries
-from .poly import Poly, parse_poly, substitute_each, sum_of_products
+from .poly import Poly, _as_coeff, _from_normalized, parse_poly, substitute_each, sum_of_products
 
 _ZERO = Poly.zero()
 _ONE = Poly.const(1)
@@ -155,11 +155,10 @@ class Multiplication:
     increasing index order, and ``rows`` maps each ``(i, j)`` with
     ``e_i * e_j != 0`` to ``{k: coefficient}``, in the same order.  Every
     tensor is built by ``_from_entries``, which keeps both; ``Multiplication(c)``
-    reads the dense form ``c[i][j][k]``.  ``_cleared``, when set, holds
-    ``(d * self, d)`` as ``kantor_product`` built it (see ``_clear_denominators``).
+    reads the dense form ``c[i][j][k]``.
     """
 
-    __slots__ = ("dim", "entries", "rows", "_cleared")
+    __slots__ = ("dim", "entries", "rows")
 
     def __new__(cls, c: Sequence[Sequence[Sequence[object]]]) -> "Multiplication":
         dim = len(c)
@@ -274,18 +273,23 @@ def _from_entries(dim: int, entries: Dict[Tuple[int, int, int], Poly]) -> Multip
 
 
 def _clear_denominators(m: Multiplication) -> Tuple[Multiplication, int]:
-    """``(d * m, d)`` with ``d * m`` integral: the pair recorded in ``m._cleared`` if set,
-    else d the lcm of m's coefficient denominators (m itself if d = 1).
+    """``(d * m, d)`` with d the lcm of m's coefficient denominators (m itself if d = 1).
+
+    Each coefficient is scaled in integers, so ``d * m`` is built without a ``Fraction``.
     """
-    cleared = getattr(m, "_cleared", None)
-    if cleared is not None:
-        return cleared
     d = 1
     for entry in m.entries.values():
         for coeff in entry.terms.values():
             if type(coeff) is not int:
                 d = lcm(d, coeff.denominator)
-    return (m if d == 1 else m.scale(d)), d
+    if d == 1:
+        return m, d
+    scaled = {
+        key: _from_normalized({mono: c * d if type(c) is int else c.numerator * (d // c.denominator)
+                               for mono, c in entry.terms.items()})
+        for key, entry in m.entries.items()
+    }
+    return _from_entries(m.dim, scaled), d
 
 
 def _product(rows, x, y) -> Dict[int, Poly]:
@@ -332,10 +336,9 @@ class Subspace:
 
     @staticmethod
     def from_vectors(ambient: int, vectors: Sequence[Sequence[Fraction]]) -> "Subspace":
-        rows = [list(map(Fraction, v)) for v in vectors]
-        if any(len(row) != ambient for row in rows):
+        if any(len(v) != ambient for v in vectors):
             raise DimMismatch(f"vectors must have {ambient} coordinates")
-        reduced, pivots = linsolve.rref(rows)
+        reduced, pivots = linsolve.rref(vectors)
         return Subspace(ambient, tuple(tuple(row) for row in reduced[: len(pivots)]))
 
     @staticmethod
@@ -354,7 +357,7 @@ class Subspace:
         """Whether ``vector`` reduces to zero against the reduced basis."""
         if len(vector) != self.ambient:
             raise DimMismatch(f"vector must have {self.ambient} coordinates")
-        v = list(vector)
+        v = list(map(_as_coeff, vector))
         for row in self.basis:
             factor = v[next(i for i, x in enumerate(row) if x)]
             if factor:

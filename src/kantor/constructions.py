@@ -15,13 +15,11 @@ from typing import Sequence, Tuple
 from .algebra import Element, Multiplication, multiply
 from .errors import DimMismatch, NotCommutativeAssociative, NotDerivation
 from .identities import builtin, check_identity
-from .product import act, kantor_product, symbolic_vector
+from .product import _resolve_u, act, kantor_product
 
 
 def sum_product(dot: Multiplication, bracket: Multiplication) -> Multiplication:
     """Entrywise sum of the two structure tensors."""
-    if dot.dim != bracket.dim:
-        raise DimMismatch("tensor dimensions differ")
     return dot + bracket
 
 
@@ -67,8 +65,5 @@ def kantor_pair(
 
     When u is omitted a single symbolic vector is shared by both products.
     """
-    if dot.dim != circ.dim:
-        raise DimMismatch("tensor dimensions differ")
-    if u is None:
-        u = symbolic_vector(dot.dim, dot.names() | circ.names())
+    u = _resolve_u(dot, circ, u)
     return kantor_product(circ, dot, u), kantor_product(dot, circ, u)

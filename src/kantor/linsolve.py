@@ -15,6 +15,10 @@ in the free ones.  It drops exact duplicate equations (they span nothing
 new), builds each sparse row straight from the equation's terms, and
 eliminates only the first row of each class of rows equal up to a nonzero
 scalar, keyed by the row divided by its entry in its first column.
+
+``rref``, ``nullspace`` and ``mat_inverse`` take any exact scalars
+(``poly._as_coeff``) and reject a float with ``TypeError``: its binary
+value is not the decimal one written.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InconsistentSystem, NonlinearInput, SingularMatrix
-from .poly import Poly, substitute_each, sum_of_products
+from .poly import Poly, _as_coeff, substitute_each, sum_of_products
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -73,7 +77,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[Matrix, List[int]]:
         return [], []
     ncols = len(rows[0])
     reduced, pivots = _eliminate(
-        [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows], ncols
+        [{c: x for c, x in enumerate(map(Fraction, map(_as_coeff, row))) if x} for row in rows], ncols
     )
     zero = Fraction(0)
     dense = [[row.get(c, zero) for c in range(ncols)] for row in reduced]
@@ -117,8 +121,7 @@ def mat_inverse(a: Sequence[Sequence[Fraction]]) -> Matrix:
     n = len(a)
     if any(len(row) != n for row in a):
         raise SingularMatrix("matrix is not square")
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-    reduced, pivots = rref(aug)
+    reduced, pivots = rref([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("matrix is not invertible")
     return [row[n:] for row in reduced[:n]]

@@ -645,7 +645,9 @@ class _Parser:
                 if value == "*":
                     p = p * q
                 else:
-                    if not q.is_constant() or q.is_zero():
+                    if q.is_zero():
+                        raise ParseError(f"division by zero in {self.text!r}")
+                    if not q.is_constant():
                         raise ParseError(f"division by non-constant in {self.text!r}")
                     p = p / q.constant_value()
             else:

@@ -27,12 +27,7 @@ possibly zero) for the caller to wrap; ``act`` wraps it as a tensor.
 convention a matrix D is a derivation of B iff ``act(D, B)`` is zero.
 
 ``kantor_product`` runs over the integers: with D_A * A and D_B * B cleared
-of denominators, it divides their product by D_A * D_B once.  When u is
-integral too, the integer product and D_A * D_B stay on the result for
-``_clear_denominators``, so the identity checkers expand it over the
-integers without clearing it again.  The square's own lcm divides
-D_A * D_B, and the checkers scale a whole expansion by one constant, so
-their results are those of the lcm.
+of denominators, it divides their product by D_A * D_B once.
 
 When no u is supplied, a symbolic vector with fresh coordinates (u1, ...,
 un by default) is used, so the resulting tensor stays linear in the
@@ -121,10 +116,7 @@ def kantor_product(a: Multiplication, b: Multiplication, u: Element | None = Non
     d = da * db
     if d == 1:
         return product
-    out = _from_entries(product.dim, {key: e / d for key, e in product.entries.items()})
-    if all(type(c) is int for x in u.coords for c in x.terms.values()):
-        object.__setattr__(out, "_cleared", (product, d))
-    return out
+    return _from_entries(product.dim, {key: e / d for key, e in product.entries.items()})
 
 
 def kantor_square(a: Multiplication, u: Element | None = None) -> Multiplication:

@@ -23,13 +23,13 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .algebra import render_combination
-from .poly import Poly
+from .poly import Poly, _as_coeff
 
 Gen = Tuple[str, int]
 
 
 def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    return value if isinstance(value, Fraction) else Fraction(_as_coeff(value))
 
 
 class GradedElement:

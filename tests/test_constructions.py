@@ -132,6 +132,14 @@ def test_c8_pair_tables_and_witness():
     assert verify_isomorphism(minus_id, nov0, circ0)
 
 
+def test_kantor_pair_rejects_mismatched_dimensions():
+    dot = Multiplication.from_table(2, {(1, 1, 1): 1})
+    circ = Multiplication.from_table(3, {(1, 2, 3): 1})
+    for u in (None, Element.zero(2), Element.zero(3)):
+        with pytest.raises(DimMismatch):
+            kantor_pair(dot, circ, u)
+
+
 def test_kantor_pair_zero_reference():
     cat = load_catalog(selftest=False)
     entry = cat["C8"]

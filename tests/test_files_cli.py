@@ -76,6 +76,7 @@ def test_parse_errors():
         '{"dim": 2, "table": [{"i": 1, "j": true, "k": 1}]}': "table[0]",
         '{"dim": 2, "table": [{"i": 1, "j": 1, "k": "1"}]}': "table[0]",
         '{"dim": 2, "table": [{"i": 1, "j": 1, "k": 1, "coeff": true}]}': "table[0]",
+        '{"dim": 2, "table": [{"i": 1, "j": 1, "k": 1, "coeff": "2/0"}]}': "table[0]",
         '{"dim": 2, "constraints": [1]}': "constraints",
         '{"dim": 2, "params": ["a", "b"], "constraints": "a*b"}': "constraints",
         # constraints generate a monomial ideal: one monomial of positive degree each
@@ -149,10 +150,14 @@ def test_cli_check_two_slot_bundles_golden():
     assert out == (GOLDEN / "check_C8_pair.txt").read_text()
 
 
-def test_cli_square_fractional_golden():
-    code, out, err = run_cli("square", str(GOLDEN / "frac3.json"))
+@pytest.mark.parametrize("flags, golden", [
+    ((), "square_frac3.txt"),
+    (("--right",), "square_frac3_right.txt"),
+], ids=["left", "right"])
+def test_cli_square_fractional_golden(flags, golden):
+    code, out, err = run_cli("square", str(GOLDEN / "frac3.json"), *flags)
     assert code == 0 and err == ""
-    assert out == (GOLDEN / "square_frac3.txt").read_text()
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_cli_product_fractional_golden():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import random
 from dataclasses import FrozenInstanceError
@@ -565,7 +566,7 @@ def test_ann_equality_failure_on_a_fractional_table():
     ]
 
 
-# -- Kantor squares that carry their integer tensor ---------------------------
+# -- Kantor squares against freshly built equal tensors ------------------------
 
 @st.composite
 def fractional_squares(draw):
@@ -583,6 +584,36 @@ def fractional_squares(draw):
     return table, kantor_square(table, u), kind
 
 
+@st.composite
+def tables_and_squares(draw):
+    """A fractional or parametric table, or its Kantor square under a symbolic, integral or rational u."""
+    dim = draw(st.integers(2, 3))
+    value = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3, 4, 6)))
+    if draw(st.booleans()):
+        monomial = st.sampled_from([Poly.const(1)] + [parse_poly(m) for m in ("a", "b", "a*b", "a^2")])
+        value = st.lists(st.tuples(value, monomial), min_size=1, max_size=3).map(
+            lambda terms: sum((p * c for c, p in terms), Poly.zero()))
+    keys = st.tuples(*[st.integers(1, dim)] * 3)
+    table = Multiplication.from_table(dim, draw(st.dictionaries(keys, value, max_size=10)))
+    kind = draw(st.sampled_from(["table", "symbolic", "integral", "rational"]))
+    if kind == "table":
+        return table
+    u = None
+    if kind != "symbolic":
+        coord = st.integers(-2, 2) if kind == "integral" else st.builds(F, st.integers(-2, 2), st.integers(1, 3))
+        u = Element([Poly.const(draw(coord)) for _ in range(dim)])
+    return kantor_square(table, u)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tables_and_squares())
+def test_clear_denominators_scales_by_the_lcm_of_the_denominators(m):
+    d = math.lcm(*(F(c).denominator for e in m.entries.values() for _, c in e.monomials()))
+    cleared, got = _clear_denominators(m)
+    assert got == d and cleared == m.scale(d)
+    assert all(type(c) is int for e in cleared.entries.values() for c in e.terms.values())
+
+
 def _outcome(check):
     try:
         verdict = check()
@@ -597,10 +628,6 @@ def test_squares_check_like_freshly_built_equal_tensors(case):
     table, square, kind = case
     fresh = Multiplication.from_table(square.dim, square.table())
     assert fresh == square
-    if kind == "integral":
-        # The square keeps the integer tensor and D^2 from kantor_product.
-        d = _clear_denominators(table)[1]
-        assert _clear_denominators(square)[1] == d * d
     for name in ("jacobi", "jordan", "associative", "commutative"):
         assert _outcome(lambda: check_identity(square, builtin(name))) == _outcome(
             lambda: check_identity(fresh, builtin(name))

@@ -19,6 +19,7 @@ from kantor.linsolve import (
     solve_linear,
 )
 from kantor.poly import Poly, parse_poly, substitute_each
+from kantor.witt import GradedElement, L, WittConfig
 
 
 def test_rref_and_rank():
@@ -54,6 +55,24 @@ def test_in_span():
     span = Subspace.from_vectors(3, [[F(1), F(0), F(1)], [F(0), F(1), F(0)]])
     assert span.contains([F(2), F(3), F(2)])
     assert not span.contains([F(1), F(0), F(0)])
+    # The same vector in floats is refused (test_floats_are_not_exact_scalars).
+    assert Subspace.from_vectors(3, [[1, 1, 0], [0, 1, 1]]).contains([F(1, 10), F(3, 10), F(1, 5)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rref([[1, 0.5]]),
+    lambda: nullspace([[1, 0.5]], 2),
+    lambda: mat_inverse([[0.1]]),
+    lambda: Subspace.from_vectors(2, [[1, 0.5]]),
+    lambda: Subspace.from_vectors(3, [[1, 1, 0], [0, 1, 1]]).contains([0.1, 0.3, 0.2]),
+    lambda: GradedElement({("L", 0): 0.1}),
+    lambda: WittConfig(a=0.1),
+    lambda: L(1).scale(0.1),
+], ids=["rref", "nullspace", "mat_inverse", "from_vectors", "contains", "GradedElement",
+        "WittConfig", "scale"])
+def test_floats_are_not_exact_scalars(call):
+    with pytest.raises(TypeError, match="not an exact scalar"):
+        call()
 
 
 def test_solve_linear_forced_values():

@@ -104,6 +104,9 @@ def test_parse_errors():
         parse_poly("u1/u2")
     with pytest.raises(ParseError):
         parse_poly("u1 ^ alpha")
+    for text in ("2/0", "x/(1-1)"):
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_poly(text)
 
 
 @settings(max_examples=60, deadline=None)

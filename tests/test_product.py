@@ -192,6 +192,13 @@ def test_integer_product_keeps_the_rational_term_order():
                 ]
 
 
+def test_products_carry_no_state_beyond_their_entries():
+    table = Multiplication.from_table(2, {(1, 1, 2): F(1, 2), (2, 1, 1): F(-2, 3)})
+    square = kantor_square(table, Element([Poly.const(1), Poly.const(-2)]))
+    assert not hasattr(square, "_cleared")
+    assert Multiplication.__slots__ == ("dim", "entries", "rows")
+
+
 def test_right_product_matches_its_definition():
     # [[a, b]]_r(x, y) = a(b(x, y), u) - b(a(x, u), y) - b(x, a(y, u)), with a != b
     rng = random.Random(41)
