@@ -34,10 +34,17 @@ the case split reads off each equation (its names, and the term count of
 each degree-1 name) come from one ``Poly.linear_counts()`` call, and
 content normalization picks its sign from ``Poly.first_coefficient()``.
 
-Every returned family whose assignment is polynomial and which has no
-residual equations is re-verified against the defining identities of the
-structure by direct expansion.  Families with rational-function
-assignments or residual equations are returned without re-verification.
+A family keeps its values as the triangular chain the case split builds,
+in evaluation order: each value mentions only free unknowns and unknowns
+listed before it (the case split's values in reverse solve order, then
+stage 1's pivots).  ``SolutionFamily.expanded`` back-substitutes the chain
+into values in the free unknowns alone, on first read.
+
+Every returned family whose expanded values are polynomial and which has
+no residual equations is re-verified against the defining identities of
+the structure by direct expansion.  Families with rational-function
+values or residual equations are returned without re-verification, and
+a family with residual equations is never expanded by the classifier.
 """
 
 from __future__ import annotations
@@ -88,11 +95,15 @@ class RationalValue(NamedTuple):
 class SolutionFamily:
     """One branch of a classification.
 
-    ``assignment`` maps solved unknowns to ``RationalValue(num, den)`` in
-    the free unknowns; plain ``(num, den)`` pairs are accepted and stored
-    as ``RationalValue``.  Denominators other than 1 only appear when a
-    branch pivoted on a non-constant coefficient, and that coefficient is
-    then recorded among the inequations.  ``equations`` holds residual
+    ``assignment`` maps solved unknowns to ``RationalValue(num, den)`` as a
+    triangular chain in evaluation order: each value mentions only free
+    unknowns and unknowns listed before it, so substituting along the
+    order gives every value.  Plain ``(num, den)`` pairs are accepted and
+    stored as ``RationalValue``.  ``expanded`` holds the same values with
+    the chain back-substituted, in the free unknowns alone; it is computed
+    on first read.  Denominators other than 1 only appear when a branch
+    pivoted on a non-constant coefficient, and that coefficient is then
+    recorded among the inequations.  ``equations`` holds residual
     constraints that were not resolved within the branching depth.
     """
 
@@ -107,14 +118,33 @@ class SolutionFamily:
         values = {name: RationalValue(*value) for name, value in self.assignment.items()}
         object.__setattr__(self, "assignment", values)
 
+    @functools.cached_property
+    def expanded(self) -> Dict[str, RationalValue]:
+        """The chain back-substituted: each value in the free unknowns alone,
+        in ``assignment``'s order.  Kept on the family from its first read,
+        outside the fields that ``==`` and ``repr`` read."""
+        return _back_substitute(self.assignment)
+
     def is_polynomial(self) -> bool:
-        return all(den == 1 for _, den in self.assignment.values())
+        """Whether every expanded value is a polynomial.
+
+        The chain answers when it can: without denominators the expansion
+        has none, and the expansion only multiplies a non-constant
+        denominator in the free unknowns alone, so that one stays.
+        """
+        dens = [den for _, den in self.assignment.values() if den != 1]
+        if not dens:
+            return True
+        free = set(self.free)
+        if any(not den.is_constant() and den.names() <= free for den in dens):
+            return False
+        return all(den == 1 for _, den in self.expanded.values())
 
     def tensor(self, ansatz: Multiplication) -> Optional[Multiplication]:
         """The parameterized multiplication of this family, when polynomial."""
         if not self.is_polynomial():
             return None
-        return ansatz.substitute({name: num for name, (num, _) in self.assignment.items()})
+        return ansatz.substitute({name: num for name, (num, _) in self.expanded.items()})
 
     def evaluate(self, point: Mapping[str, Fraction]) -> Optional[Dict[str, Fraction]]:
         """Full unknown values at a rational point of the free parameters.
@@ -150,8 +180,7 @@ class SolutionFamily:
 
     def describe(self, text: Callable[[object], str] = str) -> str:
         """The family on one line; ``text`` prints each value, equation and hypothesis."""
-        parts = [f"{name} = {text(self.assignment[name])}" for name in self.unknowns
-                 if name in self.assignment]
+        parts = [f"{name} = {text(value)}" for name, value in self.assignment.items()]
         if self.free:
             parts.append("free: " + ", ".join(self.free))
         if self.equations:
@@ -180,35 +209,42 @@ def _subst_rational(p: Poly, name: str, power: Callable[[int, int], Poly]) -> Po
     return p if degree == 0 else _subst_parts(parts, power, degree)
 
 
-def _back_substitute(value: RationalValue, assignment: Mapping[str, RationalValue]) -> RationalValue:
-    """``value`` with the solved unknowns of ``assignment`` it mentions substituted, in order.
+def _back_substitute(chain: Mapping[str, RationalValue]) -> Dict[str, RationalValue]:
+    """The values of ``chain`` with every solved unknown substituted away, in its order.
 
-    Precondition: the values of ``assignment`` mention free unknowns only
-    (``case_split_solve`` builds them in reverse solve order; ``_classify``
-    passes finished families), so no substitution brings in a solved name.
+    Precondition: ``chain`` is in evaluation order, each value mentioning
+    only free unknowns and names listed before it.  Each value then takes
+    the already expanded values of the earlier names it mentions, which
+    mention free unknowns only, so no substitution brings in a solved name.
     """
-    mentioned = value.num.names() | value.den.names()
-    for name, (num, den) in assignment.items():
-        if name in mentioned:
-            value = value.substitute(name, num, den)
-    return value
+    final: Dict[str, RationalValue] = {}
+    for name, value in chain.items():
+        mentioned = value.num.names() | value.den.names()
+        for earlier, (num, den) in final.items():
+            if earlier in mentioned:
+                value = value.substitute(earlier, num, den)
+        final[name] = value
+    return final
 
 
-def _content_normalize(p: Poly) -> Poly:
-    """Divide by the rational content and fix the leading sign; p itself if already so.
+def _content_scale(p: Poly) -> Fraction:
+    """The factor that divides a nonzero p by its rational content and fixes its leading sign.
 
     The leading coefficient is that of the least readable monomial
     (``Poly.first_coefficient``), so no result depends on name registration order.
     """
-    if p.is_zero():
-        return p
     coeffs = p.terms.values()
     num_gcd = math.gcd(*(c.numerator for c in coeffs))
     den_lcm = math.lcm(*(c.denominator for c in coeffs))
-    positive = p.first_coefficient() > 0
-    if positive and num_gcd == den_lcm:
+    return Fraction(den_lcm if p.first_coefficient() > 0 else -den_lcm, num_gcd)
+
+
+def _content_normalize(p: Poly) -> Poly:
+    """p times its ``_content_scale``; p itself if zero or already normalized."""
+    if p.is_zero():
         return p
-    return p * Fraction(den_lcm if positive else -den_lcm, num_gcd)
+    scale = _content_scale(p)
+    return p if scale == 1 else p * scale
 
 
 def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -402,6 +438,10 @@ def _step(branch: _Branch) -> Optional[List[_Branch]]:
     (_, _, name), r = min(linear, key=lambda item: item[0])
     parts = r.equation.coeffs_in(name)
     c, d = parts[1], parts.get(0, Poly.zero())
+    # Label and divide by the content-normalized pivot, as the constraints store it.
+    scale = _content_scale(c)
+    if scale != 1:
+        c, d = c * scale, d * scale
     return _assign(branch, r, name, RationalValue(-d, c), _add_inequations(ineqs, c), f"{c} != 0") + [
         branch._replace(eqs=eqs + (_facts(c, branch.variables),),
                         labels=branch.labels + (f"{c} = 0",), depth=branch.depth - 1)]
@@ -454,12 +494,10 @@ def case_split_solve(
         if children is not None:
             stack.extend(reversed(children))
             continue
-        final: Dict[str, RationalValue] = {}
-        for name, value in reversed(branch.solved):
-            final[name] = _back_substitute(value, final)
+        chain = dict(reversed(branch.solved))
         labels = branch.labels + ("depth cap",) if branch.eqs else branch.labels
         families.append(SolutionFamily(
-            unknowns=unknowns, assignment=final, free=tuple(n for n in unknowns if n not in final),
+            unknowns=unknowns, assignment=chain, free=tuple(n for n in unknowns if n not in chain),
             equations=tuple(r.equation for r in branch.eqs), inequations=branch.ineqs,
             label="; ".join(labels) or "general"))
     return families
@@ -586,12 +624,10 @@ def _classify(structure: _Structure, stage1, a, max_depth: int = 16,
     else:
         verdict = check_identity(structure.slots(mult, stage.tensor), structure.stage2)
         branches = case_split_solve(list(verdict.obstructions), stage.free, max_depth)
+    pivots = {pivot: RationalValue(affine) for pivot, affine in stage.solution.assignments.items()}
     families = []
     for branch in branches:
-        assignment = dict(branch.assignment)
-        for pivot, affine in stage.solution.assignments.items():
-            assignment[pivot] = _back_substitute(RationalValue(affine), branch.assignment)
-        family = replace(branch, unknowns=stage.unknowns, assignment=assignment)
+        family = replace(branch, unknowns=stage.unknowns, assignment={**branch.assignment, **pivots})
         families.append(family)
         if family.equations or not family.is_polynomial():
             continue

@@ -1,3 +1,4 @@
+import functools
 import io
 import itertools
 import json
@@ -5,7 +6,9 @@ import math
 import random
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -38,6 +41,8 @@ from kantor.errors import LieCheckFailed, SymbolicEntries
 from kantor.identities import builtin, check_identity, reslot
 from kantor.linsolve import nullspace, rank
 from kantor.poly import Poly, parse_poly
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def rand_point(rng, names):
@@ -474,8 +479,9 @@ def test_json_families_round_trip_through_plain_tuples(kind, key, classify):
     rng = random.Random(29)
     for family, payload in zip(families, payloads):
         assert all(isinstance(v, RationalValue) for v in family.assignment.values())
-        printed = [f"{name} = {payload['assignment'][name]}"
-                   for name in family.unknowns if name in family.assignment]
+        # Text and --json print the chain in its evaluation order.
+        assert list(payload["assignment"]) == list(family.assignment)
+        printed = [f"{name} = {text}" for name, text in payload["assignment"].items()]
         assert family.describe().split("; ")[:len(printed)] == printed
         rebuilt = _family_from_payload(payload, family.unknowns)
         evaluated = 0
@@ -501,20 +507,29 @@ def test_rational_value_prints_and_substitutes():
 
 
 def assert_case_split_invariants(families):
-    """Values, residuals and hypotheses mention only the free unknowns (what
-    ``_back_substitute`` relies on); constraints are normalized and the
+    """Each chain value mentions only free unknowns and names listed before it
+    (what ``_back_substitute`` relies on), and each expanded value, residual
+    and hypothesis only free unknowns; constraints are normalized and the
     hypotheses of a family are distinct."""
     for family in families:
         free = set(family.free)
-        for num, den in family.assignment.values():
+        known = set(free)
+        for name, (num, den) in family.assignment.items():
+            assert name not in free
+            assert num.names() <= known and den.names() <= known
+            known.add(name)
+        polynomial = family.is_polynomial()
+        assert list(family.expanded) == list(family.assignment)
+        for num, den in family.expanded.values():
             assert num.names() <= free and den.names() <= free
+        assert polynomial == all(den == 1 for _, den in family.expanded.values())
         for q in family.equations + family.inequations:
             assert q.names() <= free
             assert _content_normalize(q) == q
         assert len(set(family.inequations)) == len(family.inequations)
 
 
-@pytest.mark.parametrize("classify, key, max_depth", [
+CATALOG_RUNS = [
     (postlie_structures, "heis3", 16),
     (postlie_structures, "S2", 16),
     (postlie_structures, "r2c", 16),
@@ -524,11 +539,80 @@ def assert_case_split_invariants(families):
     (poisson_structures, "qt4", 16),
     (poisson_structures, "heis4", 16),
     (poisson_structures, "lp3", 16),
-])
+]
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_families(classify, key, max_depth):
+    return tuple(classify(load_catalog(selftest=False)[key].mult, max_depth=max_depth))
+
+
+@pytest.mark.parametrize("classify, key, max_depth", CATALOG_RUNS)
 def test_families_mention_free_unknowns_and_normalized_constraints(classify, key, max_depth):
-    families = classify(load_catalog(selftest=False)[key].mult, max_depth=max_depth)
+    families = catalog_families(classify, key, max_depth)
     assert families
     assert_case_split_invariants(families)
+
+
+@functools.lru_cache(maxsize=None)
+def solved_catalog_families():
+    """The catalog runs' families that have solved values and no residuals."""
+    return [family for run in CATALOG_RUNS for family in catalog_families(*run)
+            if family.assignment and not family.equations]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_chain_and_its_expansion_evaluate_alike(data):
+    family = data.draw(st.sampled_from(solved_catalog_families()))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    point = {name: data.draw(values, label=name) for name in family.free}
+    expanded = replace(family, assignment=family.expanded)
+    assert family.evaluate(point) == expanded.evaluate(point)
+
+
+# The goldens under golden/expanded/ are the classify --json outputs as
+# printed before families kept their chains: every value back-substituted
+# and each step-4 pivot as the equation carried it.
+EXPANDED_GOLDENS = [
+    "classify_postlie_heis3.json",
+    "classify_poisson_heis4.json",
+    "classify_postlie_r2c.json",
+    "classify_postlie_zero2.json",
+    "classify_postlie_heis4_depth2.json",
+    "classify_postlie_heis4_depth4.json",
+]
+
+
+def same_split(before, after):
+    """Whether two label parts are one split, up to step 4's pivot normalization."""
+    if before == after:
+        return True
+    for relation in (" != 0", " = 0"):
+        if before.endswith(relation) and after.endswith(relation):
+            pivot = parse_poly(after[:-len(relation)])
+            return _content_normalize(parse_poly(before[:-len(relation)])) == pivot
+    return False
+
+
+@pytest.mark.parametrize("golden", EXPANDED_GOLDENS)
+def test_chains_expand_to_the_former_families(golden):
+    old = json.loads((GOLDEN / "expanded" / golden).read_text())
+    new = json.loads((GOLDEN / golden).read_text())
+    assert len(new) == len(old)
+    for before, after in zip(old, new):
+        for key in ("free", "equations", "inequations"):
+            assert after[key] == before[key]
+        labels = before["label"].split("; "), after["label"].split("; ")
+        assert len(labels[0]) == len(labels[1])
+        assert all(same_split(b, a) for b, a in zip(*labels)), labels
+        unknowns = tuple(after["assignment"]) + tuple(after["free"])
+        expanded = _family_from_payload(after, unknowns).expanded
+        expected = _family_from_payload(before, unknowns).assignment
+        assert list(expanded) == list(expected)
+        for name, (num, den) in expanded.items():
+            old_num, old_den = expected[name]
+            assert num * old_den == old_num * den, name
 
 
 def test_case_split_hypotheses_are_normalized_distinct_factors():
@@ -577,9 +661,25 @@ def test_case_split_prunes_after_one_equation_vanishes_and_a_later_one_is_consta
     # x*w - 1 into -1, so it is pruned; the y = 0 branch survives.
     system = [parse_poly(q) for q in ["x*y", "x*z", "x*w - 1"]]
     [family] = case_split_solve(system, list("wxyz"))
-    assert family.label == "y = 0; z = 0; -x != 0"
-    assert family.describe() == "w = (-1)/(-x); y = 0; z = 0; free: x; assuming: x != 0"
+    assert family.label == "y = 0; z = 0; x != 0"
+    assert family.describe() == "w = (1)/(x); z = 0; y = 0; free: x; assuming: x != 0"
     assert_case_split_invariants([family])
+
+
+def test_is_polynomial_reads_the_chain_before_expanding():
+    # a = 1/x with x free, and b = a*y: no expansion can clear x from a's
+    # denominator.  With x solved before a, only the expansion can tell:
+    # x = y + 1 keeps a denominator, x = 2 clears it.
+    one = Poly.const(1)
+    a, x, y = (Poly.var(n) for n in "axy")
+    chain = {"a": (one, x), "b": (a * y, one)}
+    family = SolutionFamily(tuple("abxy"), chain, ("x", "y"), (), (x,), "")
+    assert not family.is_polynomial() and "expanded" not in vars(family)
+    solved = SolutionFamily(tuple("abxy"), {"x": (y + 1, one), **chain}, ("y",), (), (), "")
+    assert not solved.is_polynomial() and "expanded" in vars(solved)
+    cleared = SolutionFamily(tuple("abxy"), {"x": (Poly.const(2), one), **chain}, ("y",), (), (), "")
+    assert cleared.is_polynomial() and cleared.expanded["b"] == (y / 2, one)
+    assert SolutionFamily(("a", "x"), {"a": (x, one)}, ("x",), (), (), "").is_polynomial()
 
 
 def test_case_split_long_linear_chain_keeps_a_flat_stack():
@@ -590,7 +690,8 @@ def test_case_split_long_linear_chain_keeps_a_flat_stack():
     assert len(system) > sys.getrecursionlimit() // 2
     [family] = case_split_solve(system, [f"x{i}" for i in range(601)])
     assert family.free == ("x600",)
-    assert family.assignment["x0"] == (2 ** 600 * xs[600], 1)
+    assert family.assignment["x0"] == (2 * xs[1], 1)
+    assert family.expanded["x0"] == (2 ** 600 * xs[600], 1)
     assert family.label == "general" and not family.equations
 
 
@@ -627,10 +728,10 @@ def test_step_rule_3_assumes_the_earlier_variables_nonzero():
 
 def test_step_rule_4_assumes_the_coefficient_nonzero_then_zero():
     # c*g - 1 is stored as 1 - c*g; the name breaks the tie, so c is
-    # eliminated and its coefficient -g is the pivot.
+    # eliminated and its coefficient -g, normalized to g, is the pivot.
     assert [summary(child) for child in _step(branch_of(["c*g - 1"], "cg", 1))] == [
-        ([], ["g"], [("c", "(-1)/(-g)")], ("-g != 0",), 0),
-        (["1 - c*g", "g"], [], [], ("-g = 0",), 0),
+        ([], ["g"], [("c", "(1)/(g)")], ("g != 0",), 0),
+        (["1 - c*g", "g"], [], [], ("g = 0",), 0),
     ]
     assert _step(branch_of(["c*g - 1"], "cg", 0)) is None
 
@@ -747,10 +848,10 @@ def test_a_substituted_hypothesis_meets_a_later_untouched_one():
     # the first place of each and the order of the rest.
     system = [parse_poly(q) for q in ["x*a - 1", "w*b - 1", "y*d - 1", "a*b*d*(x - y)"]]
     [family] = case_split_solve(system, ["a", "b", "d", "w", "x", "y"])
-    assert family.label == "-x != 0; -w != 0; -y != 0"
+    assert family.label == "x != 0; w != 0; y != 0"
     assert [str(q) for q in family.inequations] == ["y", "w"]
     assert family.describe() == (
-        "a = (-1)/(-y); b = (-1)/(-w); d = (-1)/(-y); x = y; free: w, y; "
+        "x = y; d = (1)/(y); b = (1)/(w); a = (1)/(x); free: w, y; "
         "assuming: y != 0; w != 0"
     )
     assert_case_split_invariants([family])

@@ -345,7 +345,7 @@ def test_cli_classify_json_writes_one_family_at_a_time(monkeypatch):
 
 
 def test_cli_classify_heis4_depth6_digest():
-    # The output is about 370 KB, so the golden is its sha256.
+    # The output is about 330 KB, so the golden is its sha256.
     code, out, _ = run_cli("classify", "postlie", "catalog:heis4", "--max-depth", "6", "--json")
     assert code == 0
     digest = (GOLDEN / "classify_postlie_heis4_depth6.sha256").read_text().strip()
@@ -354,10 +354,20 @@ def test_cli_classify_heis4_depth6_digest():
 
 def test_cli_classify_heis4_depth8_digest():
     # Depth 8 runs the residual substitutions of about 500 terms that depth 6
-    # only starts; the output is about 4.4 MB.
+    # only starts; the output is about 1 MB.
     code, out, _ = run_cli("classify", "postlie", "catalog:heis4", "--max-depth", "8", "--json")
     assert code == 0
     digest = (GOLDEN / "classify_postlie_heis4_depth8.sha256").read_text().strip()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_classify_heis4_default_depth_digest():
+    # Families print their chains, not their expansions, so the default
+    # depth writes about 15 MB.
+    code, out, _ = run_cli("classify", "postlie", "catalog:heis4", "--json")
+    assert code == 0
+    assert len(out.encode()) < 16_000_000
+    digest = (GOLDEN / "classify_postlie_heis4_depth16.sha256").read_text().strip()
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
