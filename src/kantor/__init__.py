@@ -43,7 +43,6 @@ from .identities import (
     builtin_names,
     check_ann_equality,
     check_identity,
-    probe_cb_cl,
 )
 from .linsolve import LinearSolution, solve_linear
 from .poly import Poly, parse_poly
@@ -91,7 +90,6 @@ __all__ = [
     "poisson_structures",
     "postlie_stage1",
     "postlie_structures",
-    "probe_cb_cl",
     "render_algebra",
     "render_un_table",
     "right_kantor_product",

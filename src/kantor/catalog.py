@@ -362,12 +362,11 @@ def _build_entries() -> Dict[str, CatalogEntry]:
     add(CatalogEntry(
         key="C8",
         algebra=c8,
-        tags=("commutative",),
+        tags=("commutative", "associative"),
         pair_kind="novikov_circle",
         pair=c8_circ,
         pair_tags=("novikov_poisson_nva",),
         second_tags=("left_novikov",),
-        extras={"dot_tags_modulo": ("associative",)},
         notes="printed table of a three-dimensional left Novikov-Poisson "
               "family; the second compatibility fails for c != 0 (obstruction "
               "proportional to c), so the full bundle is only asserted on the "
@@ -562,8 +561,6 @@ def verify_entry(entry: CatalogEntry):
     if entry.pair is not None:
         check_tags(entry.pair, entry.second_tags, "the companion multiplication")
         check_tags([entry.mult, entry.pair], entry.pair_tags, "the pair")
-    check_tags(entry.mult, entry.extras.get("dot_tags_modulo", ()),
-               "the main multiplication modulo its constraints")
 
 
 def _verify_witnesses(entries: Dict[str, CatalogEntry]):

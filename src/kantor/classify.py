@@ -603,8 +603,7 @@ def _stage1(structure: _Structure, a, fixed_u: Element | None) -> LinearStage:
     return LinearStage(unknowns, solution, ansatz, ansatz.substitute(solution.assignments))
 
 
-def _classify(structure: _Structure, stage1, a, max_depth: int = 16,
-              require_lie: bool = True) -> List[SolutionFamily]:
+def _classify(structure: _Structure, stage1, a, max_depth: int = 16) -> List[SolutionFamily]:
     """Stage 2, the merge with stage 1 and re-verification, for every structure.
 
     ``stage1`` is the public stage-1 function, which each classifier passes
@@ -612,7 +611,7 @@ def _classify(structure: _Structure, stage1, a, max_depth: int = 16,
     ``benchmarks/tracer.py`` installs one) sees the stage run.
     """
     mult = _mult_of(a)
-    if structure.lie_input and require_lie:
+    if structure.lie_input:
         verdict = check_identity(mult, builtin("anticommutative") + builtin("jacobi"))
         if not verdict.holds:
             raise LieCheckFailed(
@@ -665,10 +664,10 @@ def generic_poisson_structures(a) -> List[SolutionFamily]:
     return _classify(_GENERIC_POISSON, poisson_stage1, a)
 
 
-def postlie_structures(lie, require_lie: bool = True, max_depth: int = 16) -> List[SolutionFamily]:
+def postlie_structures(lie, max_depth: int = 16) -> List[SolutionFamily]:
     """All commutative post-Lie structures on the given Lie algebra.
 
     Stage 1 solves x.[y,z] = [x.y, z] + [y, x.z] (linear); stage 2 imposes
     [x,y].z = x.(y.z) - y.(x.z) by case splitting.
     """
-    return _classify(_POSTLIE, postlie_stage1, lie, max_depth, require_lie)
+    return _classify(_POSTLIE, postlie_stage1, lie, max_depth)

@@ -52,10 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple, Union
 
-from .algebra import (_ONE, Element, Multiplication, Subspace, _clear_denominators, _product,
-                      centralizer, multiply)
-from .errors import (DimMismatch, IndexOutOfRange, SlotMismatch, SymbolicCoefficient,
-                     SymbolicEntries, UnknownIdentity)
+# multiply is unused here; benchmarks/test_smoke.py:63 asserts identities.multiply is traced.
+from .algebra import _ONE, Multiplication, Subspace, _clear_denominators, _product, multiply
+from .errors import DimMismatch, IndexOutOfRange, SlotMismatch, SymbolicCoefficient, UnknownIdentity
 from .poly import Monomial, Poly, sum_of_products
 
 
@@ -682,74 +681,3 @@ def check_ann_equality(
                     combo = combo + Poly.var(f"E{k + 1}") * value
             obstructions.append(witness * combo)
     return Verdict(not obstructions, tuple(obstructions))
-
-
-# -- probe-based CB/CL reports -----------------------------------------------
-
-@dataclass(frozen=True)
-class CBResult:
-    """Commutative-bonding check for one ordered probe pair with x*y = 0."""
-
-    pair: Tuple[int, int]
-    holds: bool
-    failures: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class CLResult:
-    """Whether the centralizer of one probe is closed under multiplication."""
-
-    probe: int
-    centralizer_dim: int
-    holds: bool
-    failures: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class ProbeReport:
-    cb: Tuple[CBResult, ...]
-    cl: Tuple[CLResult, ...]
-
-    @property
-    def all_pass(self) -> bool:
-        return all(r.holds for r in self.cb) and all(r.holds for r in self.cl)
-
-
-def probe_cb_cl(m: Multiplication, probes: Sequence[Element]) -> ProbeReport:
-    """Sample commutative-bonding and centralizer-ideal behavior.
-
-    For every ordered probe pair (x, y) with x*y = 0 the CB check asks
-    that (x*e_z)*y = 0 for all basis z; for every probe x the CL check
-    asks that the centralizer of x be closed under left and right
-    multiplication by basis elements.  This is a probe report, not a
-    universal verification.
-    """
-    if not m.is_rational():
-        raise SymbolicEntries("probe checks need a rational multiplication")
-    for p in probes:
-        if not p.is_rational():
-            raise SymbolicEntries("probes must be rational elements")
-    n = m.dim
-    basis = [Element.basis(n, i) for i in range(n)]
-
-    cb: List[CBResult] = []
-    for i, x in enumerate(probes):
-        for j, y in enumerate(probes):
-            if not multiply(m, x, y).is_zero():
-                continue
-            failures = tuple(
-                z for z in range(n) if not multiply(m, multiply(m, x, basis[z]), y).is_zero()
-            )
-            cb.append(CBResult((i, j), not failures, failures))
-
-    cl: List[CLResult] = []
-    for i, x in enumerate(probes):
-        space = centralizer(m, x)
-        failures = []
-        for v in space.basis_elements():
-            for z in range(n):
-                for tag, w in (("left", multiply(m, basis[z], v)), ("right", multiply(m, v, basis[z]))):
-                    if not space.contains(w.rational_coords()):
-                        failures.append(f"{tag}:e{z + 1}")
-        cl.append(CLResult(i, space.dim, not failures, tuple(sorted(set(failures)))))
-    return ProbeReport(tuple(cb), tuple(cl))

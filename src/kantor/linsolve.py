@@ -150,9 +150,6 @@ class LinearSolution:
     def substitute(self, p: Poly) -> Poly:
         return p.substitute(self.assignments)
 
-    def kernel_dim(self) -> int:
-        return len(self.free)
-
 
 def solve_linear(system: Sequence[Poly], unknowns: Sequence[str]) -> LinearSolution:
     """Solve polynomial equations that are affine in ``unknowns``.

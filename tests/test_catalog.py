@@ -67,6 +67,7 @@ def test_c8_constraints_are_needed_for_associativity():
     assert not plain.holds
     modded = check_identity(dot, builtin("associative"), modulo=cat["C8"].algebra.constraints)
     assert modded.holds
+    assert "associative" in cat["C8"].tags
 
 
 def test_binary_lie_square_targets_have_the_forcing_invariants():

@@ -11,7 +11,7 @@ import pytest
 
 import kantor
 from kantor.catalog import load_catalog
-from kantor.cli import BROKEN_PIPE, main
+from kantor.cli import BROKEN_PIPE, PRECONDITION_FAILURE, main
 from kantor.errors import IndexOutOfRange, ParseError, UndeclaredParam
 from kantor.files import parse_algebra, render_algebra
 from kantor.product import symbolic_vector
@@ -423,6 +423,14 @@ def test_cli_classify_determinism_and_depth_flag():
     code, out, err = run_cli("classify", "postlie", "catalog:heis3", "--max-depth", "-1")
     assert code == 2 and out == ""
     assert err == "error: --max-depth must be non-negative, got -1\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_cli_postlie_refuses_a_non_lie_input(flags):
+    code, out, err = run_cli("classify", "postlie", "catalog:A2", *flags)
+    assert code == PRECONDITION_FAILURE and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: input is not a Lie algebra")
 
 
 def test_cli_witt():

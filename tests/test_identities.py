@@ -37,7 +37,6 @@ from kantor.identities import (
     check_ann_equality,
     check_identity,
     fresh_generic_names,
-    probe_cb_cl,
     reslot,
 )
 from kantor.linsolve import rank
@@ -373,33 +372,6 @@ def test_ann_equality_symbolic_rejection():
 
     with pytest.raises(SymbolicCoefficient):
         check_ann_equality(cat["A1alpha"].mult, lhs, rhs, Subspace.zero(3))
-
-
-def test_probe_cb_cl():
-    cat = load_catalog(selftest=False)
-    # commutative associative algebra: all centralizers are ideals
-    qt4 = cat["qt4"].mult
-    probes = [Element.basis(4, i) for i in range(4)]
-    report = probe_cb_cl(qt4, probes)
-    assert all(r.holds for r in report.cl)
-
-    # anti-associative instances: commutative bonding passes on the probes
-    for key in ("AA3", "heis3"):
-        m = cat[key].mult
-        report = probe_cb_cl(m, [Element.basis(3, i) for i in range(3)])
-        assert all(r.holds for r in report.cb), key
-        assert report.all_pass, key
-
-    # a negative case: centralizers of A2 are not ideals and bonding fails
-    a2 = cat["A2"].mult
-    report = probe_cb_cl(a2, [Element.basis(3, i) for i in range(3)])
-    assert any(not r.holds for r in report.cb)
-    assert any(not r.holds for r in report.cl)
-    assert not report.all_pass
-
-    # empty probe list gives an empty report
-    empty = probe_cb_cl(qt4, [])
-    assert empty.cb == () and empty.cl == ()
 
 
 # -- the denominator-cleared expansion against the plain one ------------------
