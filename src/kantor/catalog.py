@@ -6,6 +6,12 @@ reference vector, isomorphism witnesses (candidate matrices that are
 verified, never searched), and, for two-product entries, the companion
 multiplication with its own tags.
 
+An entry is one ``add`` call: its algebra, built by ``_alg`` from a name
+and a table, then only the facts it asserts.  The entry's key is the
+algebra's name; an expected square is ``ExpectedSquare(table)`` unless it
+specializes parameters; witness vectors, matrices and ``extras`` are
+plain integer tuples.
+
 The classical small-dimensional algebras keep their customary catalog
 labels (T02US, T13, T14, A1alpha, A2, A3, A0, Aalpha, S2, C8); the
 remaining entries are constructed instances whose notes explain how they
@@ -16,26 +22,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Rational
 from typing import Dict, Optional, Tuple
 
 from .algebra import Algebra, Element, Multiplication, verify_isomorphism
 from .constructions import bracket_from_derivation
 from .errors import CatalogSelfTestFailed
-from .identities import builtin, check_identity
-from .poly import Poly, parse_poly
+from .identities import _monomial_generators, builtin, check_identity
+from .poly import parse_poly
 from .product import kantor_square
-
-QQ = Fraction
 
 
 @dataclass(frozen=True)
 class ExpectedSquare:
-    """A frozen Kantor-square table for a given reference vector."""
+    """A frozen Kantor-square table for the symbolic reference vector u1..un."""
 
-    label: str
-    u: Optional[Element]  # None means the symbolic vector u1..un
-    params: Dict[str, Fraction]
     table: Multiplication
+    params: Dict[str, Rational] = field(default_factory=dict)
+    label: str = "symbolic"
 
 
 @dataclass(frozen=True)
@@ -43,15 +47,16 @@ class IsoWitness:
     """A candidate isomorphism from a specialization of the square to a target."""
 
     label: str
-    u: Tuple[Fraction, ...]
-    params: Dict[str, Fraction]
-    matrix: Tuple[Tuple[Fraction, ...], ...]
+    u: Tuple[Rational, ...]
+    matrix: Tuple[Tuple[Rational, ...], ...]
     target: str
+    params: Dict[str, Rational] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    key: str
+    """One catalog algebra and the facts asserted about it, keyed by the algebra's name."""
+
     algebra: Algebra
     tags: Tuple[str, ...] = ()
     counter_tags: Tuple[str, ...] = ()
@@ -65,6 +70,10 @@ class CatalogEntry:
     notes: str = ""
 
     @property
+    def key(self) -> str:
+        return self.algebra.name
+
+    @property
     def mult(self) -> Multiplication:
         return self.algebra.mult
 
@@ -74,9 +83,10 @@ class CatalogEntry:
 
 
 def _alg(name, dim, entries, params=(), constraints=()) -> Algebra:
-    constraints = tuple(parse_poly(c, allowed=params) for c in constraints)
+    """The algebra, its constraints checked as ``files.parse_algebra`` checks them."""
+    constraints = _monomial_generators([parse_poly(c, allowed=params) for c in constraints])
     mult = Multiplication.from_table(dim, entries)
-    return Algebra(name, mult, params=tuple(params), constraints=constraints)
+    return Algebra(name, mult, params=tuple(params), constraints=tuple(constraints))
 
 
 def _skew(entries: Dict[Tuple[int, int, int], object]) -> Dict[Tuple[int, int, int], object]:
@@ -97,35 +107,24 @@ def _sym(entries: Dict[Tuple[int, int, int], object]) -> Dict[Tuple[int, int, in
     return out
 
 
-def _truncated_poly_mult(dim: int) -> Multiplication:
-    entries = {}
-    for i in range(1, dim + 1):
-        for j in range(1, dim + 1):
-            if i + j - 1 <= dim:
-                entries[(i, j, i + j - 1)] = 1
-    return Multiplication.from_table(dim, entries)
+def _truncated_poly(dim: int) -> Dict[Tuple[int, int, int], int]:
+    """The table of t^(i-1) t^(j-1) = t^(i+j-2) in one variable, cut off at t^dim."""
+    return {(i, j, i + j - 1): 1 for i in range(1, dim + 1) for j in range(1, dim + 2 - i)}
 
 
-def _derivation_matrix(dim: int):
+def _derivation_matrix(dim: int) -> Tuple[Tuple[int, ...], ...]:
     # Euler derivation t d/dt: the only gradings of d/dt itself do not
     # preserve the truncation ideal, but t d/dt does (D(t^k) = k t^k).
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
-    for k in range(1, dim):
-        rows[k][k] = Fraction(k)
-    return rows
+    return tuple(tuple(k if j == k else 0 for j in range(dim)) for k in range(dim))
 
 
 def _build_entries() -> Dict[str, CatalogEntry]:
     entries: Dict[str, CatalogEntry] = {}
 
-    def add(entry: CatalogEntry):
-        entries[entry.key] = entry
+    def add(algebra: Algebra, **facts):
+        entries[algebra.name] = CatalogEntry(algebra, **facts)
 
     # -- three-dimensional commutative Jordan algebras ----------------------
-    t02 = _alg("T02US", 3, _sym({
-        (1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 1): 1, (3, 3, 2): 1,
-        (1, 3, 3): "1/2", (2, 3, 3): "1/2",
-    }))
     t02_square = Multiplication.from_table(3, _sym({
         (1, 1, 1): "-u1", (2, 2, 2): "-u2",
         (3, 3, 1): "-u2", (3, 3, 2): "-u1", (3, 3, 3): "-u3",
@@ -133,170 +132,130 @@ def _build_entries() -> Dict[str, CatalogEntry]:
         (2, 3, 2): "-u3", (2, 3, 3): "-u2/2",
         (1, 2, 3): "-u3/2",
     }))
-    add(CatalogEntry(
-        key="T02US",
-        algebra=t02,
+    add(
+        _alg("T02US", 3, _sym({
+            (1, 1, 1): 1, (2, 2, 2): 1, (3, 3, 1): 1, (3, 3, 2): 1,
+            (1, 3, 3): "1/2", (2, 3, 3): "1/2",
+        })),
         tags=("commutative", "jordan", "middle_commutative", "pseudo_flexible",
               "weakly_associative"),
         counter_tags=("associative",),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, t02_square),),
+        expected_squares=(ExpectedSquare(t02_square),),
         iso_witnesses=(
-            IsoWitness(
-                label="u=(1,1,0) self",
-                u=(QQ(1), QQ(1), QQ(0)),
-                params={},
-                matrix=((QQ(-1), QQ(0), QQ(0)), (QQ(0), QQ(-1), QQ(0)), (QQ(0), QQ(0), QQ(1))),
-                target="T02US",
-            ),
-            IsoWitness(
-                label="u=(0,1,0) to T13",
-                u=(QQ(0), QQ(1), QQ(0)),
-                params={},
-                matrix=((QQ(0), QQ(0), QQ(-1)), (QQ(-1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0))),
-                target="T13",
-            ),
+            IsoWitness(label="u=(1,1,0) self", u=(1, 1, 0),
+                       matrix=((-1, 0, 0), (0, -1, 0), (0, 0, 1)), target="T02US"),
+            IsoWitness(label="u=(0,1,0) to T13", u=(0, 1, 0),
+                       matrix=((0, 0, -1), (-1, 0, 0), (0, 1, 0)), target="T13"),
         ),
         extras={
             # swap of the two idempotents; an involution fixing the unit e1+e2
-            "involution": ((QQ(0), QQ(1), QQ(0)), (QQ(1), QQ(0), QQ(0)), (QQ(0), QQ(0), QQ(1))),
-            "self_adjoint_central": (QQ(1), QQ(1), QQ(0)),
+            "involution": ((0, 1, 0), (1, 0, 0), (0, 0, 1)),
+            "self_adjoint_central": (1, 1, 0),
         },
         notes="unital Jordan algebra, unit e1+e2; the square at u=(0,0,u3) is "
               "Jordan but its printed target table is external, so only the "
               "Jordan property is asserted there",
-    ))
+    )
 
-    t13 = _alg("T13", 3, _sym({(1, 1, 1): 1, (1, 2, 2): "1/2", (2, 2, 3): 1}))
     t13_square = Multiplication.from_table(
         3, _sym({(1, 1, 1): "-u1", (1, 2, 2): "-u1/2", (2, 2, 3): "-u1"}))
-    add(CatalogEntry(
-        key="T13",
-        algebra=t13,
+    add(
+        _alg("T13", 3, _sym({(1, 1, 1): 1, (1, 2, 2): "1/2", (2, 2, 3): 1})),
         tags=("commutative", "jordan", "middle_commutative", "pseudo_flexible",
               "weakly_associative"),
         counter_tags=("associative",),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, t13_square),),
+        expected_squares=(ExpectedSquare(t13_square),),
         iso_witnesses=(
-            IsoWitness(
-                label="u=(1,0,0) self",
-                u=(QQ(1), QQ(0), QQ(0)),
-                params={},
-                matrix=((QQ(-1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)), (QQ(0), QQ(0), QQ(-1))),
-                target="T13",
-            ),
+            IsoWitness(label="u=(1,0,0) self", u=(1, 0, 0),
+                       matrix=((-1, 0, 0), (0, 1, 0), (0, 0, -1)), target="T13"),
         ),
-    ))
+    )
 
-    t14 = _alg("T14", 3, _sym({(1, 1, 1): 1, (1, 2, 2): "1/2"}))
     t14_square = Multiplication.from_table(3, _sym({(1, 1, 1): "-u1", (1, 2, 2): "-u1/2"}))
-    add(CatalogEntry(
-        key="T14",
-        algebra=t14,
+    add(
+        _alg("T14", 3, _sym({(1, 1, 1): 1, (1, 2, 2): "1/2"})),
         tags=("commutative", "jordan", "weakly_associative"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, t14_square),),
+        expected_squares=(ExpectedSquare(t14_square),),
         iso_witnesses=(
-            IsoWitness(
-                label="u=(1,0,0) self",
-                u=(QQ(1), QQ(0), QQ(0)),
-                params={},
-                matrix=((QQ(-1), QQ(0), QQ(0)), (QQ(0), QQ(1), QQ(0)), (QQ(0), QQ(0), QQ(1))),
-                target="T14",
-            ),
+            IsoWitness(label="u=(1,0,0) self", u=(1, 0, 0),
+                       matrix=((-1, 0, 0), (0, 1, 0), (0, 0, 1)), target="T14"),
         ),
-    ))
+    )
 
     # -- three-dimensional non-Lie anticommutative algebras -----------------
-    a1 = _alg("A1alpha", 3, _skew({
-        (1, 2, 3): 1, (1, 3, 1): 1, (1, 3, 3): 1, (2, 3, 2): "alpha",
-    }), params=("alpha",))
     a1_square = Multiplication.from_table(3, _skew({
         (1, 2, 2): "-alpha*u3", (1, 2, 3): "(1+alpha)*u3",
         (1, 3, 2): "alpha*u2", (1, 3, 3): "-(1+alpha)*u2",
         (2, 3, 2): "-alpha*u1", (2, 3, 3): "(1+alpha)*u1",
     }))
-    add(CatalogEntry(
-        key="A1alpha",
-        algebra=a1,
+    add(
+        _alg("A1alpha", 3, _skew({
+            (1, 2, 3): 1, (1, 3, 1): 1, (1, 3, 3): 1, (2, 3, 2): "alpha",
+        }), params=("alpha",)),
         tags=("anticommutative",),
         counter_tags=("jacobi",),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, a1_square),),
-    ))
+        expected_squares=(ExpectedSquare(a1_square),),
+    )
 
-    a2 = _alg("A2", 3, _skew({(1, 2, 1): 1, (2, 3, 2): 1}))
     a2_square = Multiplication.from_table(
         3, _skew({(1, 2, 1): "u3", (1, 3, 1): "-u2", (2, 3, 1): "u1"}))
-    add(CatalogEntry(
-        key="A2",
-        algebra=a2,
+    add(
+        _alg("A2", 3, _skew({(1, 2, 1): 1, (2, 3, 2): 1})),
         tags=("anticommutative",),
         counter_tags=("jacobi",),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, a2_square),),
+        expected_squares=(ExpectedSquare(a2_square),),
         notes="zero annihilator",
-    ))
+    )
 
-    a3 = _alg("A3", 3, _skew({(1, 2, 3): 1, (1, 3, 1): 1, (2, 3, 2): 1}))
     a3_square = Multiplication.from_table(
         3, _skew({(1, 2, 3): "2*u3", (1, 3, 3): "-2*u2", (2, 3, 3): "2*u1"}))
-    add(CatalogEntry(
-        key="A3",
-        algebra=a3,
+    add(
+        _alg("A3", 3, _skew({(1, 2, 3): 1, (1, 3, 1): 1, (2, 3, 2): 1})),
         tags=("anticommutative",),
         counter_tags=("jacobi",),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, a3_square),),
-    ))
+        expected_squares=(ExpectedSquare(a3_square),),
+    )
 
     # -- four-dimensional non-Lie binary Lie algebras ------------------------
-    a0 = _alg("A0", 4, _skew({(1, 2, 3): 1, (3, 4, 3): 1}))
     a0_square = Multiplication.from_table(
         4, _skew({(1, 2, 3): "-u4", (1, 4, 3): "u2", (2, 4, 3): "-u1"}))
-    add(CatalogEntry(
-        key="A0",
-        algebra=a0,
+    add(
+        _alg("A0", 4, _skew({(1, 2, 3): 1, (3, 4, 3): 1})),
         tags=("anticommutative", "binary_lie"),
         counter_tags=("jacobi",),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, a0_square),),
-    ))
+        expected_squares=(ExpectedSquare(a0_square),),
+    )
 
-    aalpha = _alg("Aalpha", 4, _skew({
-        (1, 2, 3): 1, (1, 4, 1): 1, (2, 4, 2): 1, (3, 4, 3): "alpha",
-    }), params=("alpha",))
     aalpha_square = Multiplication.from_table(4, _skew({
         (1, 2, 3): "(2-alpha)*u4", (1, 4, 3): "-(2-alpha)*u2", (2, 4, 3): "(2-alpha)*u1",
     }))
-    add(CatalogEntry(
-        key="Aalpha",
-        algebra=aalpha,
+    add(
+        _alg("Aalpha", 4, _skew({
+            (1, 2, 3): 1, (1, 4, 1): 1, (2, 4, 2): 1, (3, 4, 3): "alpha",
+        }), params=("alpha",)),
         tags=("anticommutative", "binary_lie"),
         counter_tags=("jacobi",),
         expected_squares=(
-            ExpectedSquare("symbolic", None, {}, aalpha_square),
-            ExpectedSquare("alpha=2 (Lie member)", None, {"alpha": QQ(2)},
-                           Multiplication.zero(4)),
+            ExpectedSquare(aalpha_square),
+            ExpectedSquare(Multiplication.zero(4), {"alpha": 2}, "alpha=2 (Lie member)"),
         ),
         iso_witnesses=(
             IsoWitness(
                 label="alpha=0, u=e4 to padded Heisenberg",
-                u=(QQ(0), QQ(0), QQ(0), QQ(1)),
-                params={"alpha": QQ(0)},
-                matrix=(
-                    (QQ(1), QQ(0), QQ(0), QQ(0)),
-                    (QQ(0), QQ(1), QQ(0), QQ(0)),
-                    (QQ(0), QQ(0), QQ(2), QQ(0)),
-                    (QQ(0), QQ(0), QQ(0), QQ(1)),
-                ),
+                u=(0, 0, 0, 1),
+                matrix=((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 1)),
                 target="heis4",
+                params={"alpha": 0},
             ),
         ),
-    ))
+    )
 
     # -- Lie algebras ---------------------------------------------------------
-    s2 = _alg("S2", 2, {(1, 2, 2): 1, (2, 1, 2): -1})
-    add(CatalogEntry(
-        key="S2",
-        algebra=s2,
+    add(
+        _alg("S2", 2, {(1, 2, 2): 1, (2, 1, 2): -1}),
         tags=("anticommutative", "jacobi", "middle_commutative", "pseudo_flexible",
               "weakly_associative"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, Multiplication.zero(2)),),
+        expected_squares=(ExpectedSquare(Multiplication.zero(2)),),
         extras={
             # Normal forms of the nonzero commutative post-Lie structures:
             # with g2_2 = 0 and g1_2 != 0 rescaling e2 by g1_2 gives (I);
@@ -308,219 +267,173 @@ def _build_entries() -> Dict[str, CatalogEntry]:
             },
         },
         notes="solvable two-dimensional Lie algebra",
-    ))
+    )
 
-    heis3 = _alg("heis3", 3, _skew({(1, 2, 3): 1}))
-    add(CatalogEntry(
-        key="heis3",
-        algebra=heis3,
+    add(
+        _alg("heis3", 3, _skew({(1, 2, 3): 1})),
         tags=("anticommutative", "jacobi", "anti_associative", "middle_commutative",
               "weakly_associative"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, Multiplication.zero(3)),),
+        expected_squares=(ExpectedSquare(Multiplication.zero(3)),),
         notes="nilpotent three-dimensional Lie algebra",
-    ))
+    )
 
-    r2c = _alg("r2c", 3, _skew({(1, 2, 2): 1}))
-    add(CatalogEntry(
-        key="r2c",
-        algebra=r2c,
+    add(
+        _alg("r2c", 3, _skew({(1, 2, 2): 1})),
         tags=("anticommutative", "jacobi"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, Multiplication.zero(3)),),
+        expected_squares=(ExpectedSquare(Multiplication.zero(3)),),
         notes="metabelian non-nilpotent three-dimensional Lie algebra with "
               "one-dimensional square plus a central direction; forced by its "
               "invariants as the non-nilpotent target of the binary-Lie squares",
-    ))
+    )
 
-    heis4 = _alg("heis4", 4, _skew({(1, 2, 3): 1}))
-    add(CatalogEntry(
-        key="heis4",
-        algebra=heis4,
+    add(
+        _alg("heis4", 4, _skew({(1, 2, 3): 1})),
         tags=("anticommutative", "jacobi"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, Multiplication.zero(4)),),
+        expected_squares=(ExpectedSquare(Multiplication.zero(4)),),
         notes="Heisenberg table padded with a central e4; target of the "
               "binary-Lie square specializations",
-    ))
+    )
 
     # -- two-dimensional Jordan algebra used by the Poisson classification ---
-    j2 = _alg("J2", 2, _sym({(1, 1, 1): 1, (1, 2, 2): "1/2"}))
-    add(CatalogEntry(
-        key="J2",
-        algebra=j2,
+    add(
+        _alg("J2", 2, _sym({(1, 1, 1): 1, (1, 2, 2): "1/2"})),
         tags=("commutative", "jordan", "weakly_associative"),
         counter_tags=("associative",),
         notes="idempotent with a half-eigenvalue line",
-    ))
+    )
 
     # -- Novikov-Poisson material --------------------------------------------
-    c8_dot = Multiplication.from_table(3, _sym({
-        (1, 3, 1): "a", (1, 3, 2): "b", (2, 2, 2): "c", (2, 3, 2): "a",
-        (3, 3, 1): "d", (3, 3, 2): "f", (3, 3, 3): "a",
-    }))
-    c8_circ = Multiplication.from_table(3, {(3, 1, 1): 1, (3, 2, 2): 1, (3, 3, 3): 1})
-    c8 = Algebra("C8", c8_dot, params=("a", "b", "c", "d", "f"),
-                 constraints=(parse_poly("f*c"), parse_poly("a*b"), parse_poly("b*c")))
-    add(CatalogEntry(
-        key="C8",
-        algebra=c8,
+    circ = Multiplication.from_table(3, {(3, 1, 1): 1, (3, 2, 2): 1, (3, 3, 3): 1})
+    add(
+        _alg("C8", 3, _sym({
+            (1, 3, 1): "a", (1, 3, 2): "b", (2, 2, 2): "c", (2, 3, 2): "a",
+            (3, 3, 1): "d", (3, 3, 2): "f", (3, 3, 3): "a",
+        }), params=("a", "b", "c", "d", "f"), constraints=("f*c", "a*b", "b*c")),
         tags=("commutative", "associative"),
         pair_kind="novikov_circle",
-        pair=c8_circ,
+        pair=circ,
         pair_tags=("novikov_poisson_nva",),
         second_tags=("left_novikov",),
         notes="printed table of a three-dimensional left Novikov-Poisson "
               "family; the second compatibility fails for c != 0 (obstruction "
               "proportional to c), so the full bundle is only asserted on the "
               "c = 0 subfamily NP3 and at evaluation points",
-    ))
+    )
 
-    np3_dot = Multiplication.from_table(3, _sym({
+    np3_table = _sym({
         (1, 3, 1): "a", (2, 3, 2): "a", (3, 3, 1): "d", (3, 3, 2): "f", (3, 3, 3): "a",
-    }))
-    np3 = Algebra("NP3", np3_dot, params=("a", "d", "f"))
-    add(CatalogEntry(
-        key="NP3",
-        algebra=np3,
+    })
+    add(
+        _alg("NP3", 3, np3_table, params=("a", "d", "f")),
         tags=("commutative", "associative"),
         pair_kind="novikov_circle",
-        pair=c8_circ,
+        pair=circ,
         pair_tags=("left_novikov_poisson",),
         second_tags=("left_novikov",),
         notes="the b = c = 0 subfamily of C8; satisfies the whole left "
               "Novikov-Poisson bundle identically in a, d, f",
-    ))
+    )
 
-    c8r_dot = np3_dot
-    c8r_circ = c8_circ.opposite()
-    c8r = Algebra("C8R", c8r_dot, params=("a", "d", "f"))
-    add(CatalogEntry(
-        key="C8R",
-        algebra=c8r,
+    add(
+        _alg("C8R", 3, np3_table, params=("a", "d", "f")),
         tags=("commutative", "associative"),
         pair_kind="prelie_circle",
-        pair=c8r_circ,
+        pair=circ.opposite(),
         pair_tags=("right_prelie_poisson",),
         second_tags=("left_symmetric",),
         notes="opposite circle product on the b = c = 0 subfamily of C8; a "
               "right pre-Lie Poisson instance",
-    ))
+    )
 
     # -- transposed Poisson and Poisson pairs ---------------------------------
-    qt4_dot = _truncated_poly_mult(4)
-    qt4_bracket = bracket_from_derivation(qt4_dot, _derivation_matrix(4))
-    qt4 = Algebra("qt4", qt4_dot)
-    add(CatalogEntry(
-        key="qt4",
-        algebra=qt4,
+    qt4 = _alg("qt4", 4, _truncated_poly(4))
+    add(
+        qt4,
         tags=("commutative", "associative", "jordan", "weakly_associative"),
         pair_kind="derivation_bracket",
-        pair=qt4_bracket,
+        pair=bracket_from_derivation(qt4.mult, _derivation_matrix(4)),
         pair_tags=("transposed_poisson",),
         second_tags=("anticommutative", "jacobi"),
-        extras={"derivation": tuple(tuple(row) for row in _derivation_matrix(4))},
+        extras={"derivation": _derivation_matrix(4)},
         notes="truncated polynomial algebra in one variable (four terms) with "
               "the bracket of the shift derivation",
-    ))
+    )
 
-    ac3 = Algebra("AC3", _truncated_poly_mult(3))
-    add(CatalogEntry(
-        key="AC3",
-        algebra=ac3,
+    add(
+        _alg("AC3", 3, _truncated_poly(3)),
         tags=("commutative", "associative", "weakly_associative", "jordan"),
         notes="truncated polynomial algebra in one variable (three terms)",
-    ))
+    )
 
-    lp3_dot = Multiplication.from_table(3, {
-        (1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1, (1, 3, 3): 1, (3, 1, 3): 1,
-    })
-    lp3_bracket = Multiplication.from_table(3, {(2, 3, 3): 1, (3, 2, 3): -1})
-    lp3 = Algebra("lp3", lp3_dot)
-    add(CatalogEntry(
-        key="lp3",
-        algebra=lp3,
+    add(
+        _alg("lp3", 3, {(1, 1, 1): 1, (1, 2, 2): 1, (2, 1, 2): 1, (1, 3, 3): 1, (3, 1, 3): 1}),
         tags=("commutative", "associative"),
         pair_kind="poisson_bracket",
-        pair=lp3_bracket,
+        pair=Multiplication.from_table(3, {(2, 3, 3): 1, (3, 2, 3): -1}),
         pair_tags=("poisson", "generic_poisson"),
         second_tags=("anticommutative", "jacobi"),
         notes="linear Poisson bracket of the solvable two-dimensional Lie "
               "algebra truncated at the square of the augmentation ideal",
-    ))
+    )
 
     # -- nilpotent instances for the variety closure suite --------------------
-    nil2 = _alg("nil2", 2, {(1, 1, 2): 1})
-    add(CatalogEntry(
-        key="nil2",
-        algebra=nil2,
+    add(
+        _alg("nil2", 2, {(1, 1, 2): 1}),
         tags=("commutative", "associative", "mock_lie", "right_leibniz",
               "two_sided_leibniz", "left_symmetric", "middle_commutative",
               "pseudo_flexible", "weakly_associative", "jordan"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, Multiplication.zero(2)),),
+        expected_squares=(ExpectedSquare(Multiplication.zero(2)),),
         notes="one nilpotent square generator",
-    ))
+    )
 
-    n3 = _alg("N3", 3, {(1, 2, 3): 1})
-    add(CatalogEntry(
-        key="N3",
-        algebra=n3,
+    add(
+        _alg("N3", 3, {(1, 2, 3): 1}),
         tags=("associative", "middle_commutative", "pseudo_flexible",
               "weakly_associative", "left_symmetric", "right_leibniz",
               "two_sided_leibniz", "anti_associative"),
         counter_tags=("commutative", "anticommutative"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, Multiplication.zero(3)),),
+        expected_squares=(ExpectedSquare(Multiplication.zero(3)),),
         notes="single directed product e1*e2 = e3; neither commutative nor "
               "anticommutative, all triple products vanish",
-    ))
+    )
 
-    ml3 = _alg("ML3", 3, _sym({(1, 2, 3): 1}))
-    add(CatalogEntry(
-        key="ML3",
-        algebra=ml3,
+    add(
+        _alg("ML3", 3, _sym({(1, 2, 3): 1})),
         tags=("commutative", "mock_lie", "jordan", "middle_commutative"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, Multiplication.zero(3)),),
-    ))
+        expected_squares=(ExpectedSquare(Multiplication.zero(3)),),
+    )
 
-    ml5 = _alg("ML5", 5, _sym({
-        (1, 1, 3): 1, (1, 2, 4): 1, (2, 3, 5): -2, (1, 4, 5): 1,
-    }))
-    add(CatalogEntry(
-        key="ML5",
-        algebra=ml5,
+    add(
+        _alg("ML5", 5, _sym({(1, 1, 3): 1, (1, 2, 4): 1, (2, 3, 5): -2, (1, 4, 5): 1})),
         tags=("commutative", "mock_lie", "jordan"),
         notes="five-dimensional commutative algebra with vanishing "
               "Jacobiator and a nonzero triple product: a**2 = p, ab = q, "
               "pb = -2 qa; constructed by closing the Jacobiator relations",
-    ))
+    )
 
-    aa3 = _alg("AA3", 3, {(1, 1, 2): 1, (2, 1, 3): 1, (1, 2, 3): -1})
-    add(CatalogEntry(
-        key="AA3",
-        algebra=aa3,
+    add(
+        _alg("AA3", 3, {(1, 1, 2): 1, (2, 1, 3): 1, (1, 2, 3): -1}),
         tags=("anti_associative",),
         counter_tags=("commutative", "anticommutative"),
         notes="free-style anti-associative table on one generator, nilpotency "
               "index four",
-    ))
+    )
 
-    pl3_entries = {(1, 2, 2): 1, (1, 3, 3): 2, (2, 2, 3): 1}
-    pl3 = _alg("PL3", 3, pl3_entries)
-    add(CatalogEntry(
-        key="PL3",
-        algebra=pl3,
+    add(
+        _alg("PL3", 3, {(1, 2, 2): 1, (1, 3, 3): 2, (2, 2, 3): 1}),
         tags=("left_symmetric",),
         counter_tags=("associative", "commutative"),
         notes="multiplication f * g = f D(g) with the Euler derivation D on "
               "the three-term truncated polynomial algebra; left-symmetric "
               "(associator -f g D^2(h)) and not associative",
-    ))
+    )
 
-    zero2 = _alg("zero2", 2, {})
-    add(CatalogEntry(
-        key="zero2",
-        algebra=zero2,
+    add(
+        _alg("zero2", 2, {}),
         tags=("commutative", "anticommutative", "associative", "jacobi",
               "mock_lie", "jordan", "weakly_associative"),
-        expected_squares=(ExpectedSquare("symbolic", None, {}, Multiplication.zero(2)),),
-    ))
+        expected_squares=(ExpectedSquare(Multiplication.zero(2)),),
+    )
 
     return entries
 
@@ -552,7 +465,7 @@ def verify_entry(entry: CatalogEntry):
 
     for expected in entry.expected_squares:
         mult = entry.mult.substitute(expected.params) if expected.params else entry.mult
-        square = kantor_square(mult, expected.u)
+        square = kantor_square(mult)
         if square != expected.table:
             raise CatalogSelfTestFailed(
                 f"{entry.key}: expected square {expected.label!r} does not match"
@@ -567,11 +480,8 @@ def _verify_witnesses(entries: Dict[str, CatalogEntry]):
     for entry in entries.values():
         for witness in entry.iso_witnesses:
             mult = entry.mult.substitute(witness.params) if witness.params else entry.mult
-            u = Element([Poly.const(c) for c in witness.u])
-            square = kantor_square(mult, u)
-            target = entries[witness.target].mult
-            matrix = [list(row) for row in witness.matrix]
-            if not verify_isomorphism(matrix, square, target):
+            square = kantor_square(mult, Element(witness.u))
+            if not verify_isomorphism(witness.matrix, square, entries[witness.target].mult):
                 raise CatalogSelfTestFailed(
                     f"{entry.key}: isomorphism witness {witness.label!r} fails"
                 )

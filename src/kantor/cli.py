@@ -1,8 +1,16 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 parse error, 3 precondition violation, 4 a
-requested check failed, 5 catalog self-test failure, 141 the reader closed
-standard output early (as in ``kantor ... | head``).
+A failure is a ``KantorError``: ``main`` prints ``error: ...`` on standard
+error and exits with the code ``_EXIT_CODES`` gives its type.  Exit codes:
+
+- 0: success.
+- 2: a parse error: ``ParseError``, ``UndeclaredParam`` or
+  ``IndexOutOfRange`` (and a usage error, which ``argparse`` reports).
+- 3: a precondition violation: any other ``KantorError``, such as
+  ``DimMismatch``, ``SlotMismatch`` or ``LieCheckFailed``.
+- 4: a check that ``kantor check`` was asked for failed.
+- 5: ``kantor catalog selftest`` failed; it prints ``self-test FAILED: ...``.
+- 141: the reader closed standard output early (as in ``kantor ... | head``).
 """
 
 from __future__ import annotations
@@ -28,9 +36,11 @@ from .classify import (
 )
 from .errors import (
     CatalogSelfTestFailed,
+    DimMismatch,
     IndexOutOfRange,
     KantorError,
     ParseError,
+    SlotMismatch,
     UndeclaredParam,
     UnknownIdentity,
 )
@@ -46,12 +56,11 @@ CHECK_FAILURE = 4
 SELFTEST_FAILURE = 5
 # The status a shell reports for a process that SIGPIPE ended.
 BROKEN_PIPE = 141
-
-
-class _CliFailure(Exception):
-    def __init__(self, code: int, message: str):
-        self.code = code
-        self.message = message
+# The exit code of an error ``main`` reports: that of the first entry it is an instance of.
+_EXIT_CODES = (
+    ((ParseError, UndeclaredParam, IndexOutOfRange), PARSE_FAILURE),
+    (KantorError, PRECONDITION_FAILURE),
+)
 
 
 def _load_ref(ref: str):
@@ -66,19 +75,19 @@ def _load_ref(ref: str):
         key = parts[1]
         entries = catalog_mod.load_catalog(selftest=False)
         if key not in entries:
-            raise _CliFailure(PARSE_FAILURE, f"no catalog entry named {key!r}")
+            raise ParseError(f"no catalog entry named {key!r}")
         entry = entries[key]
         slots = None if entry.pair is None else [entry.mult, entry.pair]
         if len(parts) > 2:
             if parts[2:] != ["pair"]:
-                raise _CliFailure(PARSE_FAILURE, f"bad catalog reference {ref!r}")
+                raise ParseError(f"bad catalog reference {ref!r}")
             if entry.pair is None:
-                raise _CliFailure(PRECONDITION_FAILURE, f"{key} has no companion product")
+                raise SlotMismatch(f"{key} has no companion product")
             return entry.pair, entry.algebra, slots
         return entry.mult, entry.algebra, slots
     path = Path(ref)
     if not path.exists():
-        raise _CliFailure(PARSE_FAILURE, f"no such file: {ref}")
+        raise ParseError(f"no such file: {ref}")
     algebra = parse_algebra(path.read_text())
     return algebra.mult, algebra, None
 
@@ -90,7 +99,7 @@ def _parse_fraction(text: str, where: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise _CliFailure(PARSE_FAILURE, f"bad rational in {where}") from None
+        raise ParseError(f"bad rational in {where}") from None
 
 
 def _parse_u(spec: str | None, dim: int) -> Element | None:
@@ -103,14 +112,14 @@ def _parse_u(spec: str | None, dim: int) -> Element | None:
     if m:
         index = int(m.group(1))
         if not 1 <= index <= dim:
-            raise _CliFailure(PARSE_FAILURE, f"basis index out of range in u spec {spec!r}")
+            raise ParseError(f"basis index out of range in u spec {spec!r}")
         return Element.basis(dim, index - 1)
     if text.startswith("(") and text.endswith(")"):
         pieces = [p.strip() for p in text[1:-1].split(",")]
         if len(pieces) != dim:
-            raise _CliFailure(PARSE_FAILURE, f"u spec {spec!r} needs {dim} coordinates")
+            raise ParseError(f"u spec {spec!r} needs {dim} coordinates")
         return Element([Poly.const(_parse_fraction(p, f"u spec {spec!r}")) for p in pieces])
-    raise _CliFailure(PARSE_FAILURE, f"cannot parse u spec {spec!r}")
+    raise ParseError(f"cannot parse u spec {spec!r}")
 
 
 def _parse_graded(text: str) -> witt_mod.GradedElement:
@@ -124,7 +133,7 @@ def _parse_graded(text: str) -> witt_mod.GradedElement:
     while pos < len(text):
         m = term.match(text, pos)
         if not m:
-            raise _CliFailure(PARSE_FAILURE, f"cannot parse graded element {text!r}")
+            raise ParseError(f"cannot parse graded element {text!r}")
         coeff = _parse_fraction(m.group("coef") or "1", f"graded element {text!r}")
         if m.group("sign") == "-":
             coeff = -coeff
@@ -157,7 +166,7 @@ def _cmd_product(args) -> int:
     a, algebra, _ = _load_ref(args.first)
     b, _, _ = _load_ref(args.second)
     if a.dim != b.dim:
-        raise _CliFailure(PRECONDITION_FAILURE, "operands have different dimensions")
+        raise DimMismatch("operands have different dimensions")
     u = _parse_u(args.u, a.dim)
     print(kantor_product(a, b, u).render(algebra.labels))
     return 0
@@ -167,25 +176,19 @@ def _cmd_check(args) -> int:
     mult, algebra, slots = _load_ref(args.source)
     names = [n.strip() for n in args.id.split(",") if n.strip()]
     if not names:
-        raise _CliFailure(PARSE_FAILURE, "no identity names given")
+        raise ParseError("no identity names given")
     failed = False
     for name in names:
         try:
             bundle = builtin(name)
         except UnknownIdentity:
-            raise _CliFailure(
-                PARSE_FAILURE,
-                f"unknown identity {name!r}; known: {', '.join(builtin_names())}",
-            ) from None
+            raise ParseError(f"unknown identity {name!r}; known: {', '.join(builtin_names())}") from None
         nslots = max(spec.nslots for spec in bundle)
         if nslots == 1:
             mults = [mult]
         else:
             if slots is None:
-                raise _CliFailure(
-                    PRECONDITION_FAILURE,
-                    f"identity {name!r} needs a two-product catalog entry",
-                )
+                raise SlotMismatch(f"identity {name!r} needs a two-product catalog entry")
             mults = slots
         verdict = check_identity(mults, bundle, modulo=algebra.constraints)
         status = "holds" if verdict.holds else "FAILS"
@@ -198,7 +201,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.max_depth < 0:
-        raise _CliFailure(PARSE_FAILURE, f"--max-depth must be non-negative, got {args.max_depth}")
+        raise ParseError(f"--max-depth must be non-negative, got {args.max_depth}")
     mult, algebra, _ = _load_ref(args.source)
     labels = algebra.labels
     if args.kind == "poisson":
@@ -241,7 +244,7 @@ def _render_stage(stage, labels) -> str:
 
 def _cmd_un_table(args) -> int:
     if args.dim < 1:
-        raise _CliFailure(PRECONDITION_FAILURE, "dimension must be positive")
+        raise DimMismatch("dimension must be positive")
     # Without --u the table uses v_1, the classical choice; sym asks for a symbolic u.
     if args.u in _SYMBOLIC_U:
         u = symbolic_vector(args.dim)
@@ -293,7 +296,7 @@ def _cmd_catalog(args) -> int:
         return 0
     key = args.name
     if key not in entries:
-        raise _CliFailure(PARSE_FAILURE, f"no catalog entry named {key!r}")
+        raise ParseError(f"no catalog entry named {key!r}")
     entry = entries[key]
     if args.action == "export":
         print(render_algebra(entry.algebra), end="")
@@ -386,18 +389,9 @@ def main(argv=None) -> int:
         # Point stdout at devnull, so that the interpreter's final flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return BROKEN_PIPE
-    except _CliFailure as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
-    except (ParseError, UndeclaredParam, IndexOutOfRange) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_FAILURE
-    except CatalogSelfTestFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return SELFTEST_FAILURE
     except KantorError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return PRECONDITION_FAILURE
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

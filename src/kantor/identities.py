@@ -346,77 +346,35 @@ def _build_registry() -> Dict[str, Tuple[IdentitySpec, ...]]:
     def on_second(spec: IdentitySpec) -> IdentitySpec:
         return reslot(spec, 2, {0: 1})
 
-    registry: Dict[str, Tuple[IdentitySpec, ...]] = {
-        "commutative": (commutative,),
-        "anticommutative": (anticommutative,),
-        "associative": (associative,),
-        "anti_associative": (anti_associative,),
-        "flexible": (flexible,),
-        "middle_commutative": (middle_commutative,),
-        "pseudo_flexible": (pseudo_flexible,),
-        "weakly_associative": (weakly_associative,),
-        "left_symmetric": (left_symmetric,),
-        "right_symmetric": (right_symmetric,),
-        "right_commutative": (right_commutative,),
-        "left_commutative": (left_commutative,),
-        "right_leibniz": (right_leibniz,),
-        "right_zinbiel": (right_zinbiel,),
+    # A commutative associative product in slot 0 and a Lie bracket in slot 1.
+    dot = (on_dot(commutative), on_dot(associative))
+    bracket = (on_second(anticommutative), on_second(jacobi))
+    registry = {spec.name: (spec,) for spec in (
+        commutative, anticommutative, associative, anti_associative, flexible,
+        middle_commutative, pseudo_flexible, weakly_associative, left_symmetric,
+        right_symmetric, right_commutative, left_commutative, right_leibniz, right_zinbiel,
+        jacobi, jordan, almost_jordan, left_alternative, right_alternative, leibniz_rule,
+        dual_leibniz_rule, nva, nvb, prelie_poisson_1, prelie_poisson_2, postlie_2, postlie_3,
+    )}
+    registry.update({
         "right_novikov": (right_commutative, left_symmetric),
         "left_novikov": (left_commutative, right_symmetric),
-        "jacobi": (jacobi,),
-        "jordan": (jordan,),
-        "almost_jordan": (almost_jordan,),
         "mock_lie": (commutative, jacobi),
         "binary_lie": (anticommutative, binary_lie_j),
         "almost_lie_1": (middle_commutative, jacobi),
         "almost_lie_2": (anticommutative, almost_lie_2_j),
         "two_sided_leibniz": (middle_commutative, jacobi, two_sided_zero),
         "alternative": (left_alternative, right_alternative),
-        "left_alternative": (left_alternative,),
-        "right_alternative": (right_alternative,),
         "quasi_commutative_associative": (middle_commutative, associative),
         "quasi_commutative_alternative": (middle_commutative, assoc_alt_12, assoc_cyclic),
         "quasi_commutative_jordan": (middle_commutative, jordan),
         "noncommutative_jordan": (flexible, jordan),
-        "leibniz_rule": (leibniz_rule,),
-        "dual_leibniz_rule": (dual_leibniz_rule,),
-        "novikov_poisson_nva": (nva,),
-        "novikov_poisson_nvb": (nvb,),
-        "prelie_poisson_1": (prelie_poisson_1,),
-        "prelie_poisson_2": (prelie_poisson_2,),
-        "postlie_2": (postlie_2,),
-        "postlie_3": (postlie_3,),
-        "transposed_poisson": (
-            on_dot(commutative),
-            on_dot(associative),
-            on_second(anticommutative),
-            on_second(jacobi),
-            dual_leibniz_rule,
-        ),
-        "poisson": (
-            on_dot(commutative),
-            on_dot(associative),
-            on_second(anticommutative),
-            on_second(jacobi),
-            leibniz_rule,
-        ),
+        "transposed_poisson": (*dot, *bracket, dual_leibniz_rule),
+        "poisson": (*dot, *bracket, leibniz_rule),
         "generic_poisson": (on_second(anticommutative), leibniz_rule),
-        "left_novikov_poisson": (
-            on_dot(commutative),
-            on_dot(associative),
-            on_second(left_commutative),
-            on_second(right_symmetric),
-            nva,
-            nvb,
-        ),
-        "right_prelie_poisson": (
-            on_dot(commutative),
-            on_dot(associative),
-            on_second(left_symmetric),
-            prelie_poisson_1,
-            prelie_poisson_2,
-        ),
-    }
+        "left_novikov_poisson": (*dot, on_second(left_commutative), on_second(right_symmetric), nva, nvb),
+        "right_prelie_poisson": (*dot, on_second(left_symmetric), prelie_poisson_1, prelie_poisson_2),
+    })
     return registry
 
 

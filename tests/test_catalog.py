@@ -30,7 +30,6 @@ def test_tag_examples():
 def test_verify_entry_detects_wrong_tags():
     cat = load_catalog(selftest=False)
     broken = CatalogEntry(
-        key="broken",
         algebra=cat["A2"].algebra,
         tags=("jacobi",),
     )
@@ -42,7 +41,6 @@ def test_verify_entry_detects_wrong_square():
     cat = load_catalog(selftest=False)
     t13 = cat["T13"]
     broken = CatalogEntry(
-        key="broken",
         algebra=t13.algebra,
         expected_squares=(cat["T14"].expected_squares[0],),
     )

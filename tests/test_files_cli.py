@@ -523,3 +523,57 @@ def test_cli_reader_closing_the_pipe_early_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == BROKEN_PIPE
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (("square", "catalog:heis3:pair"), 3, "heis3 has no companion product"),
+    (("square", "catalog:T13", "--u", "e9"), 2, "basis index out of range in u spec 'e9'"),
+    (("square", "catalog:T13", "--u", "1,2"), 2, "cannot parse u spec '1,2'"),
+    (("witt", "star", "--x", "Q(1)"), 2, "cannot parse graded element 'Q(1)'"),
+    (("product", "catalog:T13", "catalog:heis4"), 3, "operands have different dimensions"),
+    (("check", "catalog:T13", "--id", ","), 2, "no identity names given"),
+    (("check", "catalog:T13", "--id", "poisson"), 3,
+     "identity 'poisson' needs a two-product catalog entry"),
+    (("un-table", "--dim", "0"), 3, "dimension must be positive"),
+], ids=["no-companion", "u-index", "u-syntax", "graded", "dims", "no-ids", "one-slot", "un-dim"])
+def test_cli_error_exit_paths(args, code, err):
+    assert run_cli(*args) == (code, "", f"error: {err}\n")
+
+
+def test_cli_selftest_reports_a_broken_entry(monkeypatch):
+    import dataclasses
+
+    import kantor.catalog as catalog_mod
+
+    a2 = load_catalog(selftest=False)["A2"]
+    monkeypatch.setattr(catalog_mod, "_CACHE", {"A2": dataclasses.replace(a2, tags=("jacobi",))})
+    monkeypatch.setattr(catalog_mod, "_VERIFIED", False)
+    code, out, err = run_cli("catalog", "selftest")
+    assert (code, out) == (5, "")
+    assert err == "self-test FAILED: A2: tag 'jacobi' fails on the main multiplication: ['-1', '1']\n"
+
+
+@pytest.mark.parametrize("text, message, field", [
+    ("[1, 2]", "top level must be an object", None),
+    ('{"name": 3, "dim": 1}', "must be a string", "name"),
+    ('{"dim": 2, "basis": ["a"]}', "must be a list of 2 strings", "basis"),
+    ('{"dim": 1, "params": [1]}', "must be a list of strings", "params"),
+    ('{"dim": 1, "table": {"i": 1}}', "must be a list of entries", "table"),
+    ('{"dim": 1, "table": [[1, 1, 1]]}', "entry must be an object", "table[0]"),
+], ids=["top-level", "name", "basis", "params", "table", "entry"])
+def test_parse_algebra_checks_each_field(tmp_path, text, message, field):
+    with pytest.raises(ParseError) as info:
+        parse_algebra(text)
+    assert info.value.field == field
+    expected = message if field is None else f"{message} (field {field!r})"
+    assert str(info.value) == expected
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli("square", str(path)) == (2, "", f"error: {expected}\n")
+
+
+def test_parse_algebra_accepts_an_integer_coefficient():
+    algebra = parse_algebra('{"dim": 2, "table": [{"i": 1, "j": 2, "k": 2, "coeff": 2}]}')
+    assert str(algebra.mult.entry(0, 1, 1)) == "2"
+    assert algebra.mult == parse_algebra(
+        '{"dim": 2, "table": [{"i": 1, "j": 2, "k": 2, "coeff": "2"}]}').mult

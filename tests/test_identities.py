@@ -876,3 +876,16 @@ def test_a_warm_check_hashes_no_term(monkeypatch):
         monkeypatch.setattr(cls, "__hash__", lambda term, h=cls.__hash__: hashes.append(term) or h(term))
     assert check_identity(m, builtin("jacobi")) == first
     assert hashes == []
+
+
+def test_a_parameter_named_like_a_generic_coordinate_moves_the_prefix():
+    # x1_1 is the first generic name, so the checker's names start with xx instead.
+    assert fresh_generic_names(2, 2, {"x1_1"}) == [["xx1_1", "xx1_2"], ["xx2_1", "xx2_2"]]
+    clash = Multiplication.from_table(2, {(1, 2, 1): "x1_1", (2, 2, 2): 1})
+    plain = clash.substitute({"x1_1": Poly.var("p")})
+    for name in ("commutative", "associative", "jordan"):
+        got = check_identity(clash, builtin(name))
+        want = check_identity(plain, builtin(name))
+        assert got.holds == want.holds is False
+        renamed = [q.substitute({"x1_1": Poly.var("p")}) for q in got.obstructions]
+        assert renamed == list(want.obstructions)

@@ -617,3 +617,14 @@ def test_reduce_monomials_by_a_name_registered_later():
     assert p.reduce_monomials([late * Poly.var("u1")]) == p
     assert (p * late + p).reduce_monomials([late]) == p
     assert p.reduce_monomials([parse_poly("b^2"), parse_poly("u1*b")]) == parse_poly("u1 - 2/3*b")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x $ y", "unexpected character '$' in 'x $ y'"),
+    ("(x + 1", "expected ')' in '(x + 1'"),
+    ("x y", "trailing input in 'x y'"),
+])
+def test_parse_poly_rejects_malformed_text(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_poly(text)
+    assert str(info.value) == message

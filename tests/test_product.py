@@ -231,3 +231,13 @@ def test_dim_mismatch():
         right_kantor_product(Multiplication.zero(2), Multiplication.zero(3))
     with pytest.raises(DimMismatch):
         right_kantor_product(Multiplication.zero(2), Multiplication.zero(2), Element.zero(3))
+
+
+def test_a_parameter_named_u1_moves_the_symbolic_vector_to_v():
+    clash = Multiplication.from_table(2, {(1, 1, 1): "u1", (1, 2, 2): 1, (2, 2, 1): "u1 + 1"})
+    plain = clash.substitute({"u1": Poly.var("p")})
+    square = kantor_square(clash)
+    assert {"v1", "v2"} <= square.names() and "u2" not in square.names()
+    back = {"u1": Poly.var("p"), "v1": Poly.var("u1"), "v2": Poly.var("u2")}
+    assert square.substitute(back) == kantor_square(plain)
+    assert not kantor_square(plain).is_zero()
