@@ -29,10 +29,15 @@ costs one record, one wrapper and one golden.
 
 Stage 2 runs the case split as a worklist of immutable ``_Branch``
 records: one loop pops a branch and emits it or pushes the children of
-one ``_step``.  Its bookkeeping stays on ``Poly``'s packed keys: the facts
-the case split reads off each equation (its names, and the term count of
-each degree-1 name) come from one ``Poly.linear_counts()`` call, and
-content normalization picks its sign from ``Poly.first_coefficient()``.
+one ``_step``.  Every equation, hypothesis and step-4 pivot is kept as a
+primitive integer polynomial (``Poly.primitive``: integer coefficients
+with gcd 1 and a positive first coefficient), so equal constraints
+compare equal and no normalization builds a ``Fraction`` unless its input
+holds one.  The rest of the bookkeeping also stays on ``Poly``'s packed
+keys: the facts the case split reads off each equation (its names, and
+the term count of each degree-1 name) come from one
+``Poly.linear_counts()`` call, only those degree-1 names are visited, and
+a ``name = 0`` child keeps the terms free of ``name`` (``Poly.at_zero``).
 
 A family keeps its values as the triangular chain the case split builds,
 in evaluation order: each value mentions only free unknowns and unknowns
@@ -202,11 +207,20 @@ def _subst_parts(parts: Mapping[int, Poly], power: Callable[[int, int], Poly], d
     return sum_of_products((coeff, power(e, degree)) for e, coeff in parts.items())
 
 
-def _subst_rational(p: Poly, name: str, power: Callable[[int, int], Poly]) -> Poly:
-    """den^d * p with ``name := num/den``, d the degree of p in ``name`` (den nonzero)."""
-    parts = p.coeffs_in(name)
-    degree = max(parts, default=0)
-    return p if degree == 0 else _subst_parts(parts, power, degree)
+def _substitution(name: str, value: RationalValue) -> Callable[[Poly], Poly]:
+    """p -> den^d * p with ``name := num/den``, d the degree of p in ``name``
+    (den nonzero); the value 0 over 1 keeps the terms free of ``name``
+    (``Poly.at_zero``)."""
+    num, den = value
+    if not num.terms and den == 1:
+        return lambda p: p.at_zero(name)
+    power = _powers(num, den)
+
+    def substitute(p: Poly) -> Poly:
+        parts = p.coeffs_in(name)
+        degree = max(parts, default=0)
+        return p if degree == 0 else _subst_parts(parts, power, degree)
+    return substitute
 
 
 def _back_substitute(chain: Mapping[str, RationalValue]) -> Dict[str, RationalValue]:
@@ -225,26 +239,6 @@ def _back_substitute(chain: Mapping[str, RationalValue]) -> Dict[str, RationalVa
                 value = value.substitute(earlier, num, den)
         final[name] = value
     return final
-
-
-def _content_scale(p: Poly) -> Fraction:
-    """The factor that divides a nonzero p by its rational content and fixes its leading sign.
-
-    The leading coefficient is that of the least readable monomial
-    (``Poly.first_coefficient``), so no result depends on name registration order.
-    """
-    coeffs = p.terms.values()
-    num_gcd = math.gcd(*(c.numerator for c in coeffs))
-    den_lcm = math.lcm(*(c.denominator for c in coeffs))
-    return Fraction(den_lcm if p.first_coefficient() > 0 else -den_lcm, num_gcd)
-
-
-def _content_normalize(p: Poly) -> Poly:
-    """p times its ``_content_scale``; p itself if zero or already normalized."""
-    if p.is_zero():
-        return p
-    scale = _content_scale(p)
-    return p if scale == 1 else p * scale
 
 
 def _rational_sqrt(value: Fraction) -> Optional[Fraction]:
@@ -281,7 +275,7 @@ def _split_inequation(q: Poly) -> List[Poly]:
     """Factor the monomial content: m * p != 0 iff each variable of m and p != 0."""
     content, rest = q.monomial_factor()
     parts = [Poly.var(name) for name in sorted(content.names())]
-    rest = _content_normalize(rest)
+    _, rest = rest.primitive()
     if not rest.is_constant():
         parts.append(rest)
     return parts
@@ -290,32 +284,30 @@ def _split_inequation(q: Poly) -> List[Poly]:
 class _Facts(NamedTuple):
     equation: Poly
     names: set
-    first: Optional[Tuple[str, Dict[int, Poly]]]
+    first: Optional[str]
     linear: List[Tuple[int, int, str]]
 
 
-def _facts(q: Poly, variables: Mapping[str, Poly]) -> _Facts:
-    """What the case split reads off equation q, which it content-normalizes first.
+def _facts(q: Poly, unknowns: Mapping[str, Tuple[int, Poly]]) -> _Facts:
+    """What the case split reads off equation q, which it keeps as its primitive part.
 
     ``names`` is q's name set and, with the term count of each degree-1
-    name, comes from one ``Poly.linear_counts()`` over the packed keys;
-    ``first`` is the first unknown with a constant linear coefficient and
-    q's ``coeffs_in`` map in it, or None; ``linear`` holds step 4's
-    (coefficient terms, equation terms, unknown) of the linear occurrences
-    before it, in unknown order.  ``variables`` maps each unknown, in
-    order, to its ``Poly.var``.
+    name, comes from one ``Poly.linear_counts()`` over the packed keys.
+    Only those degree-1 names are visited, in unknown order (``unknowns``
+    maps each unknown to its place and its ``Poly.var``): ``first`` is the
+    first with a constant coefficient, or None, and ``linear`` holds step
+    4's (coefficient terms, equation terms, unknown) of the ones before it.
     """
-    q = _content_normalize(q)
+    _, q = q.primitive()
     names, counts = q.linear_counts()
     linear = []
-    for name, var in variables.items():
-        count = counts.get(name)
-        if count is None:
-            continue
+    # Places are distinct, so sorting never compares two vars.
+    for name in sorted(counts, key=unknowns.__getitem__):
+        count = counts[name]
         # With name in a single term, its coefficient is constant iff that
         # term is name itself.
-        if count == 1 and var.terms.keys() <= q.terms.keys():
-            return _Facts(q, names, (name, q.coeffs_in(name)), linear)
+        if count == 1 and unknowns[name][1].terms.keys() <= q.terms.keys():
+            return _Facts(q, names, name, linear)
         linear.append((count, len(q.terms), name))
     return _Facts(q, names, None, linear)
 
@@ -324,14 +316,15 @@ class _Branch(NamedTuple):
     """An open branch of the case split: equations left, hypotheses (distinct,
     each its own ``_split_inequation``), (unknown, value) pairs in solve
     order, the splits taken, what is left of ``max_depth``, and ``_facts``'s
-    map, the same for every branch of a run.  A step never edits one."""
+    map of the unknowns, the same for every branch of a run.  A step never
+    edits one."""
 
     eqs: Tuple[_Facts, ...]
     ineqs: Tuple[Poly, ...]
     solved: Tuple[Tuple[str, RationalValue], ...]
     labels: Tuple[str, ...]
     depth: int
-    variables: Mapping[str, Poly]
+    unknowns: Mapping[str, Tuple[int, Poly]]
 
 
 def _normalize(branch: _Branch) -> Optional[_Branch]:
@@ -361,11 +354,11 @@ def _assign(branch: _Branch, r: _Facts, name: str, value: RationalValue,
     is a split and spends one depth; step 1 passes no label.  An equation or
     hypothesis without ``name`` keeps its record, its place and its dedupe.
     """
-    power = _powers(*value)
+    substitute = _substitution(name, value)
     new_ineqs: Tuple[Poly, ...] = ()
     for q in ineqs:
         if name in q.names():
-            q = _subst_rational(q, name, power)
+            q = substitute(q)
             if q.is_zero():
                 return []
             new_ineqs = _add_inequations(new_ineqs, q)
@@ -377,12 +370,12 @@ def _assign(branch: _Branch, r: _Facts, name: str, value: RationalValue,
         if e is r:
             continue
         if name in e.names:
-            q = _subst_rational(e.equation, name, power)
+            q = substitute(e.equation)
             if q.is_zero():
                 continue
             if q.is_constant():
                 return []
-            e = _facts(q, branch.variables)
+            e = _facts(q, branch.unknowns)
         eqs.append(e)
     split = () if label is None else (label,)
     return [branch._replace(eqs=tuple(eqs), ineqs=new_ineqs, solved=branch.solved + ((name, value),),
@@ -401,9 +394,9 @@ def _step(branch: _Branch) -> Optional[List[_Branch]]:
     #    the first equation, then the first unknown.
     for r in eqs:
         if r.first is not None:
-            name, parts = r.first
+            parts = r.equation.coeffs_in(r.first)
             value = RationalValue(-parts.get(0, Poly.zero()) / parts[1].constant_value())
-            return _assign(branch, r, name, value, ineqs, None)
+            return _assign(branch, r, r.first, value, ineqs, None)
 
     # 2. Univariate equations of degree <= 2 with rational roots.
     for r in eqs:
@@ -438,13 +431,14 @@ def _step(branch: _Branch) -> Optional[List[_Branch]]:
     (_, _, name), r = min(linear, key=lambda item: item[0])
     parts = r.equation.coeffs_in(name)
     c, d = parts[1], parts.get(0, Poly.zero())
-    # Label and divide by the content-normalized pivot, as the constraints store it.
-    scale = _content_scale(c)
-    if scale != 1:
-        c, d = c * scale, d * scale
-    return _assign(branch, r, name, RationalValue(-d, c), _add_inequations(ineqs, c), f"{c} != 0") + [
-        branch._replace(eqs=eqs + (_facts(c, branch.variables),),
-                        labels=branch.labels + (f"{c} = 0",), depth=branch.depth - 1)]
+    # Label and divide by the primitive pivot, as the constraints store it.
+    content, c = c.primitive()
+    if content != 1:
+        d = d / content
+    pivot = str(c)
+    return _assign(branch, r, name, RationalValue(-d, c), _add_inequations(ineqs, c), f"{pivot} != 0") + [
+        branch._replace(eqs=eqs + (_facts(c, branch.unknowns),),
+                        labels=branch.labels + (f"{pivot} = 0",), depth=branch.depth - 1)]
 
 
 def case_split_solve(
@@ -471,19 +465,24 @@ def case_split_solve(
     pops one, normalizes it, and either emits it as a family or pushes the
     children ``_step`` gives in reverse, so families come out depth first
     in the order of the rules, and the Python stack does not grow with the
-    system.  Equations (through ``_facts``) and hypotheses (through
-    ``_add_inequations``) are kept content-normalized, so equal constraints
-    compare equal.
+    system.  Equations (through ``_facts``), hypotheses (through
+    ``_add_inequations``) and step 4's pivots are kept as primitive integer
+    polynomials (``Poly.primitive``), so equal constraints compare equal.
 
     ``TypeError`` unless ``max_depth`` is an ``int`` (not a ``bool``);
-    ``ValueError`` if it is negative.
+    ``ValueError`` if it is negative, or if an equation mentions a name
+    that is not among ``unknowns``.
     """
     if not isinstance(max_depth, int) or isinstance(max_depth, bool):
         raise TypeError(f"max_depth must be an int, got {max_depth!r}")
     if max_depth < 0:
         raise ValueError(f"max_depth must be non-negative, got {max_depth}")
     unknowns = tuple(unknowns)
-    variables = {name: Poly.var(name) for name in unknowns}
+    variables = {name: (i, Poly.var(name)) for i, name in enumerate(unknowns)}
+    equations = tuple(equations)
+    stray = set().union(*(q.names() for q in equations)) - variables.keys()
+    if stray:
+        raise ValueError(f"equations mention names that are not unknowns: {', '.join(sorted(stray))}")
     families: List[SolutionFamily] = []
     stack = [_Branch(tuple(_facts(q, variables) for q in equations), (), (), (), max_depth, variables)]
     while stack:

@@ -20,7 +20,8 @@ product or power that reaches it raises :class:`ExponentOverflow`, a
 decide divisibility: m divides k iff ``(k - m) & _GUARD == 0``, since a
 field of k below m's borrows and sets its guard bit (``reduce_monomials``).
 The gcd of the monomials is the per-field minimum over the fields of the
-first key (``monomial_factor``).
+first key (``monomial_factor``), and substituting 0 for a name keeps the
+keys whose field of that name is 0 (``at_zero``).
 
 Two reductions over the keys tell which names occur and how
 (``linear_counts``), with no per-term decode.  With ``low = _GUARD >>
@@ -52,7 +53,12 @@ result (zero coefficients are never stored, integral ones are ``int``),
 which makes polynomial equality plain structural equality: ``p - q == 0``
 iff the two term maps agree.  That canonical-form property is what the
 identity checker and the classifiers rely on, so no floating point appears
-anywhere.
+anywhere.  A polynomial keeps its hash from the first call, which is sound
+because it never changes; pickling rebuilds it without the hash, since
+packed keys, and so the hash, are per process.  ``primitive()`` splits off
+the content: it clears any ``Fraction`` by the lcm of the denominators in
+integers and divides by the signed gcd with exact ``//``, so the case
+split keeps its constraints as integer polynomials.
 
 Every product goes through one kernel, ``sum_of_products(pairs)``, which
 adds the term products of all ``(a, b)`` pairs into one term map, checks
@@ -84,6 +90,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import re
 import sys
@@ -187,7 +194,7 @@ def _as_coeff(value) -> Scalar:
 class Poly:
     """Immutable sparse polynomial over the rationals."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
         """A polynomial from a map of readable monomials to coefficients."""
@@ -296,6 +303,45 @@ class Poly:
             # rests, so no coefficient is summed and none can vanish here.
             bucket[key] = coeff
         return {e: _from_normalized(bucket) for e, bucket in groups.items()}
+
+    def at_zero(self, name: str) -> "Poly":
+        """``self.substitute({name: 0})``: the terms free of ``name``, kept by one
+        mask over the keys; ``self`` itself when every term is."""
+        shift = _SHIFT.get(name)
+        if shift is None:
+            return self
+        mask = _FIELD << shift
+        terms = {key: c for key, c in self.terms.items() if not key & mask}
+        return self if len(terms) == len(self.terms) else _from_normalized(terms)
+
+    def primitive(self) -> Tuple[Scalar, "Poly"]:
+        """``(content, part)`` with ``self == content * part``, part a primitive
+        integer polynomial: integer coefficients with gcd 1 and a positive
+        ``first_coefficient``.
+
+        A ``Fraction`` coefficient is first cleared by the lcm of the
+        denominators, in integers, and the signed gcd then divides exactly, so
+        integer input builds no ``Fraction``.  The content is an ``int`` for
+        integer input; part is ``self`` itself when the content is 1.  The zero
+        polynomial gives ``(0, self)``.
+        """
+        terms = self.terms
+        if not terms:
+            return 0, self
+        try:
+            g, den = math.gcd(*terms.values()), 1
+        except TypeError:
+            # A Fraction coefficient: clear the denominators first.
+            den = math.lcm(*(c.denominator for c in terms.values()))
+            terms = {key: c * den if type(c) is int else c.numerator * (den // c.denominator)
+                     for key, c in terms.items()}
+            g = math.gcd(*terms.values())
+        if terms[min(terms, key=_decode)] < 0:
+            g = -g
+        if g == 1 and den == 1:
+            return 1, self
+        content = g if den == 1 else Fraction(g, den)
+        return content, _from_normalized(terms if g == 1 else {key: c // g for key, c in terms.items()})
 
     def monomial_factor(self) -> Tuple["Poly", "Poly"]:
         """``(m, q)`` with ``self == m * q``: m the monic gcd of the monomials, q in storage order.
@@ -412,12 +458,19 @@ class Poly:
         return self.terms == other.terms
 
     def __hash__(self) -> int:
+        # Kept from the first call: the terms never change.
+        h = getattr(self, "_hash", None)
+        if h is not None:
+            return h
         # Agrees with __eq__, which equates a constant polynomial with its value.
         if not self.terms:
-            return 0
-        if len(self.terms) == 1 and 0 in self.terms:
-            return hash(self.terms[0])
-        return hash(frozenset(self.terms.items()))
+            h = 0
+        elif len(self.terms) == 1 and 0 in self.terms:
+            h = hash(self.terms[0])
+        else:
+            h = hash(frozenset(self.terms.items()))
+        object.__setattr__(self, "_hash", h)
+        return h
 
     # -- substitution ------------------------------------------------------
 

@@ -22,7 +22,6 @@ from kantor.classify import (
     RationalValue,
     SolutionFamily,
     _Branch,
-    _content_normalize,
     _facts,
     _normalize,
     _split_inequation,
@@ -522,7 +521,7 @@ def assert_case_split_invariants(families):
         assert polynomial == all(den == 1 for _, den in family.expanded.values())
         for q in family.equations + family.inequations:
             assert q.names() <= free
-            assert _content_normalize(q) == q
+            assert q.primitive() == (1, q)
         assert len(set(family.inequations)) == len(family.inequations)
 
 
@@ -588,7 +587,7 @@ def same_split(before, after):
     for relation in (" != 0", " = 0"):
         if before.endswith(relation) and after.endswith(relation):
             pivot = parse_poly(after[:-len(relation)])
-            return _content_normalize(parse_poly(before[:-len(relation)])) == pivot
+            return parse_poly(before[:-len(relation)]).primitive()[1] == pivot
     return False
 
 
@@ -693,7 +692,7 @@ def test_case_split_long_linear_chain_keeps_a_flat_stack():
 
 
 def branch_of(system, unknowns, depth):
-    variables = {name: Poly.var(name) for name in unknowns}
+    variables = {name: (i, Poly.var(name)) for i, name in enumerate(unknowns)}
     facts = tuple(_facts(parse_poly(q), variables) for q in system)
     return _normalize(_Branch(facts, (), (), (), depth, variables))
 
@@ -770,9 +769,9 @@ def reference_split_inequation(q):
             for name, e in common.items():
                 exps[name] -= e
             stripped[tuple(sorted((n, e) for n, e in exps.items() if e))] = coeff
-        rest = _content_normalize(Poly(stripped))
+        rest = content_scale_normalize(Poly(stripped))
     else:
-        rest = _content_normalize(q)
+        rest = content_scale_normalize(q)
     if not rest.is_constant():
         parts.append(rest)
     return parts
@@ -797,17 +796,20 @@ def test_split_inequation_matches_reference(q):
     assert _split_inequation(q) == reference_split_inequation(q)
 
 
-def former_content_normalize(p):
-    """``_content_normalize`` as it was before it took the lead from ``Poly.first_coefficient``."""
+def content_scale(p):
+    """The factor that divides a nonzero p by its rational content and fixes its
+    leading sign, as the case split computed it before it kept primitive parts."""
+    coeffs = p.terms.values()
+    num_gcd = math.gcd(*(c.numerator for c in coeffs))
+    den_lcm = math.lcm(*(c.denominator for c in coeffs))
+    return F(den_lcm if p.first_coefficient() > 0 else -den_lcm, num_gcd)
+
+
+def content_scale_normalize(p):
+    """``p * content_scale(p)``; p itself if zero or already normalized."""
     if p.is_zero():
         return p
-    coeffs = p.terms.values()
-    num_gcd = math.gcd(*(abs(c.numerator) for c in coeffs))
-    den_lcm = 1
-    for c in coeffs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    _, lead = min(p.monomials())
-    scale = F(den_lcm if lead > 0 else -den_lcm, num_gcd)
+    scale = content_scale(p)
     return p if scale == 1 else p * scale
 
 
@@ -820,22 +822,31 @@ _normalize_polys = st.dictionaries(
     st.dictionaries(st.sampled_from(_NORMALIZE_NAMES), st.integers(1, 3), max_size=3).map(
         lambda d: tuple(sorted(d.items()))
     ),
-    st.builds(F, st.integers(-12, 12), st.integers(1, 12)),
+    st.one_of(st.integers(-60, 60), st.builds(F, st.integers(-12, 12), st.integers(1, 12))),
     max_size=5,
 ).map(Poly)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_normalize_polys)
 @example(Poly.zero())
 @example(Poly.const(F(-4, 9)))
+@example(Poly.const(-12))
 @example(parse_poly("-2/3*nz_d^2 + 4/9*nz_a*nz_c - 8*nz_b"))
 @example(parse_poly("nz_d - nz_a"))
+@example(parse_poly("-nz_d + nz_a"))
 @example(parse_poly("6*nz_c*nz_a + 3/5*nz_a"))
-def test_content_normalize_matches_the_former_body(p):
-    got, expected = _content_normalize(p), former_content_normalize(p)
+@example(parse_poly("-12*nz_c*nz_a + 18*nz_b - 30"))
+def test_primitive_part_matches_the_content_scale(p):
+    content, got = p.primitive()
+    expected = content_scale_normalize(p)
     assert list(got.terms.items()) == list(expected.terms.items())
+    assert all(type(c) is int for c in got.terms.values())
     assert (got is p) == (expected is p)
+    assert content * got == p
+    if p.terms:
+        assert content == 1 / content_scale(p)
+        assert type(content) is int or not all(type(c) is int for c in p.terms.values())
 
 
 def test_a_substituted_hypothesis_meets_a_later_untouched_one():
@@ -852,6 +863,28 @@ def test_a_substituted_hypothesis_meets_a_later_untouched_one():
         "assuming: y != 0; w != 0"
     )
     assert_case_split_invariants([family])
+
+
+def test_case_split_refuses_names_that_are_not_unknowns():
+    # Steps 2 and 3 would solve a for x's system: a = 1, or a split on a = 0.
+    a, b, x = Poly.var("a"), Poly.var("b"), Poly.var("x")
+    for system in ([a - 1], [a * x], iter([x - 1, b * a * x])):
+        with pytest.raises(ValueError, match=r"not unknowns: a(, b)?$"):
+            case_split_solve(system, ["x"])
+    [family] = case_split_solve(iter([x - 1]), ["x"])
+    assert family.assignment == {"x": (Poly.const(1), 1)}
+
+
+def test_a_zero_value_over_a_pivot_scales_like_any_quotient():
+    # Step 4 pivots a*y^2 + a on 1 + y^2 with no rest, so a := 0/(1 + y^2),
+    # and the other equation is multiplied by the pivot squared, as for any
+    # quotient; only a zero over 1 keeps the terms free of a alone.
+    system = [parse_poly("a*y^2 + a"), parse_poly("a^2*x^2 + y^2 + 1")]
+    assert [f.describe() for f in case_split_solve(system, ["a", "x", "y"], max_depth=1)] == [
+        "a = (0)/(1 + y^2); free: x, y; residual: 1 + 3*y^2 + 3*y^4 + y^6 = 0; "
+        "assuming: 1 + y^2 != 0",
+        "free: a, x, y; residual: a + a*y^2 = 0; 1 + y^2 + a^2*x^2 = 0; 1 + y^2 = 0",
+    ]
 
 
 def test_evaluate_rejects_inexact_values():

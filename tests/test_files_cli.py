@@ -310,6 +310,9 @@ def test_cli_un_table_symbolic_u_golden():
          "classify_postlie_heis4_depth2.json"),
         (("postlie", "catalog:heis4", "--max-depth", "4", "--json"),
          "classify_postlie_heis4_depth4.json"),
+        # [e1,e2] = 1/2 e3: equations, pivots and values with Fraction coefficients.
+        (("postlie", str(GOLDEN / "heis3_half.json")), "classify_postlie_heis3_half.txt"),
+        (("postlie", str(GOLDEN / "heis3_half.json"), "--json"), "classify_postlie_heis3_half.json"),
     ],
 )
 def test_cli_classify_golden(args, golden):

@@ -222,6 +222,30 @@ def test_hash_agrees_with_equality(p, q):
         assert hash(p) == hash(p.constant_value())
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys())
+def test_cached_hash_agrees_with_equality(p, q):
+    h = hash(p)
+    assert hash(p) == h
+    hash(q)
+    for same in ((p + q) - q, p * 1, Poly(dict(p.monomials())), pickle.loads(pickle.dumps(p)),
+                 copy.deepcopy(p)):
+        assert same == p and hash(same) == h
+    for r in (p + q, p * q, p - q):
+        assert hash(r) == hash(Poly(dict(r.monomials())))
+        again = pickle.loads(pickle.dumps(r))
+        assert again == r and hash(again) == hash(r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(NAMES + REVERSED), st.sampled_from(NAMES + REVERSED + ["at_zero_never_seen"]))
+def test_at_zero_is_substituting_zero(p, name):
+    got = p.at_zero(name)
+    assert got == p.substitute({name: 0})
+    assert name not in got.names()
+    assert (got is p) == (name not in p.names())
+
+
 def _assert_canonical(p):
     for coeff in p.terms.values():
         assert coeff != 0
