@@ -173,9 +173,8 @@ class Verdict:
         undivided = self.__dict__.get("_undivided")
         if name != "obstructions" or undivided is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        # Distinct integer obstructions stay distinct divided by one constant.
         divided = [p if c == 1 else p / c for polys, c in undivided for p in polys]
-        object.__setattr__(self, name, tuple(dict.fromkeys(divided) if len(undivided) > 1 else divided))
+        object.__setattr__(self, name, tuple(dict.fromkeys(divided)))
         self.__dict__.pop("_undivided", None)
         return self.obstructions
 
@@ -420,20 +419,21 @@ def _representatives(linear: Tuple[int, ...], group, dim: int) -> FrozenSet[Tupl
 
     The orbit of ``at`` is ``at o sigma`` over the group, and every member gives the
     same values.  Its representative is the member whose readable generic monomial is
-    least: the one at which ``check_identity`` keeps their common obstructions.  Each
-    linear variable gives that monomial one name, its common prefix then
-    ``{v + 1}_{i + 1}``; names of two variables compare by the labels ``{v + 1}_``
-    alone, so the monomials compare as the ranks of the index strings ``{i + 1}``
-    listed in label order.  Keyed by the linear variables and the group, not by the
-    terms, which are slower to hash.
+    least: the one at which ``check_identity`` keeps their common obstructions,
+    compared as the sorted names ``fresh_generic_names`` gives the linear variables
+    there (their common prefix does not change the order).  Keyed by the linear
+    variables and the group, not by the terms, which are slower to hash.
     """
-    order = sorted(range(len(linear)), key=lambda j: f"{linear[j] + 1}_")
-    by_string = sorted(range(dim), key=lambda i: str(i + 1))
-    rank = [by_string.index(i) for i in range(dim)]
-    moved = [[sigma[j] for j in order] for sigma in group[1:]]  # group[0] is the identity
+    names = fresh_generic_names(max(linear) + 1, dim, ())
+    rows = [names[v] for v in linear]
+
+    def monomial(at) -> List[str]:
+        return sorted(row[i] for row, i in zip(rows, at))
+
     return frozenset(
         at for at in itertools.product(range(dim), repeat=len(linear))
-        if all([rank[at[j]] for j in order] <= [rank[at[j]] for j in m] for m in moved)
+        # group[0] is the identity
+        if all(monomial(at) <= monomial([at[s] for s in sigma]) for sigma in group[1:])
     )
 
 

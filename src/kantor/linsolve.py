@@ -12,9 +12,7 @@ it.  On top of the core sits ``solve_linear``, which takes polynomial
 equations that are affine in a designated unknown set and returns the
 full solution space with pivot unknowns expressed as affine polynomials
 in the free ones.  It drops exact duplicate equations (they span nothing
-new), builds each sparse row straight from the equation's terms, and
-eliminates only the first row of each class of rows equal up to a nonzero
-scalar, keyed by the row divided by its entry in its first column.
+new) and builds each sparse row straight from the equation's terms.
 
 ``rref``, ``nullspace`` and ``mat_inverse`` take any exact scalars
 (``poly._as_coeff``) and reject a float with ``TypeError``: its binary
@@ -176,14 +174,8 @@ def solve_linear(system: Sequence[Poly], unknowns: Sequence[str]) -> LinearSolut
                 raise NonlinearInput(f"foreign symbol {mono[0][0]!r} in {p}")
             row[col] = Fraction(coeff)
         rows.append(row)
-    # A row that is a scalar multiple of an earlier one spans nothing new.
-    classes: Dict[tuple, SparseRow] = {}
-    for row in rows:
-        if row:
-            lead = row[min(row)]
-            classes.setdefault(tuple(sorted((c, x / lead) for c, x in row.items())), row)
 
-    reduced, pivots = _eliminate(list(classes.values()), ncols + 1)
+    reduced, pivots = _eliminate(rows, ncols + 1)
     if pivots and pivots[-1] == ncols:
         raise InconsistentSystem("system has no solution")
 

@@ -100,8 +100,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Tuple, Union
 
 from .errors import ExponentOverflow, ParseError
 
-QQ = Fraction
-
 # A readable monomial: (name, exponent) pairs sorted by name, exponents > 0.
 Monomial = Tuple[Tuple[str, int], ...]
 Scalar = Union[int, Fraction]
@@ -336,7 +334,7 @@ class Poly:
             terms = {key: c * den if type(c) is int else c.numerator * (den // c.denominator)
                      for key, c in terms.items()}
             g = math.gcd(*terms.values())
-        if terms[min(terms, key=_decode)] < 0:
+        if self.first_coefficient() < 0:
             g = -g
         if g == 1 and den == 1:
             return 1, self

@@ -279,7 +279,7 @@ def test_solve_linear_ignores_exact_duplicates(system):
 
 
 def exact_dedupe_solve_linear(system, unknowns):
-    """``solve_linear`` as it was with exact-duplicate dropping only: every distinct row eliminated."""
+    """``solve_linear`` written out as a reference: exact duplicates dropped, every distinct row eliminated."""
     unknowns = list(unknowns)
     ncols = len(unknowns)
     index = {((name, 1),): i for i, name in enumerate(unknowns)}
