@@ -29,20 +29,18 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linsolve
 from .errors import DimMismatch, SymbolicEntries
-from .poly import Poly, _as_coeff, _from_normalized, parse_poly, substitute_each, sum_of_products
+from .poly import (
+    Poly, _as_coeff, _cleared, _coerce_strict, _from_normalized, parse_poly, substitute_each,
+    sum_of_products,
+)
 
 _ZERO = Poly.zero()
 _ONE = Poly.const(1)
 
 
 def _as_poly(value) -> Poly:
-    if isinstance(value, Poly):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return Poly.const(value)
-    if isinstance(value, str):
-        return parse_poly(value)
-    raise TypeError(f"cannot use {value!r} as a structure constant")
+    """A structure constant or coordinate: text through ``parse_poly``, any other value exact."""
+    return parse_poly(value) if isinstance(value, str) else _coerce_strict(value)
 
 
 def render_combination(terms: Iterable[Tuple[Poly, str]]) -> str:
@@ -74,12 +72,7 @@ class Element:
     __slots__ = ("dim", "coords")
 
     def __init__(self, coords: Sequence[Poly]):
-        coords = tuple(coords)
-        # Most callers pass Polys already; coerce only when one is not.
-        for c in coords:
-            if type(c) is not Poly:
-                coords = tuple(map(_as_poly, coords))
-                break
+        coords = tuple(map(_as_poly, coords))
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "dim", len(coords))
 
@@ -285,9 +278,7 @@ def _clear_denominators(m: Multiplication) -> Tuple[Multiplication, int]:
     if d == 1:
         return m, d
     scaled = {
-        key: _from_normalized({mono: c * d if type(c) is int else c.numerator * (d // c.denominator)
-                               for mono, c in entry.terms.items()})
-        for key, entry in m.entries.items()
+        key: _from_normalized(_cleared(entry.terms, d)) for key, entry in m.entries.items()
     }
     return _from_entries(m.dim, scaled), d
 

@@ -14,7 +14,7 @@ full solution space with pivot unknowns expressed as affine polynomials
 in the free ones.  It drops exact duplicate equations (they span nothing
 new) and builds each sparse row straight from the equation's terms.
 
-``rref``, ``nullspace`` and ``mat_inverse`` take any exact scalars
+``rref``, ``nullspace``, ``mat_inverse`` and ``mat_mul`` take any exact scalars
 (``poly._as_coeff``) and reject a float with ``TypeError``: its binary
 value is not the decimal one written.
 """
@@ -109,6 +109,7 @@ def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) ->
     n, k, m = len(a), len(b), len(b[0]) if b else 0
     if a and len(a[0]) != k:
         raise ValueError("matrix shape mismatch")
+    a, b = ([list(map(_as_coeff, row)) for row in matrix] for matrix in (a, b))
     return [
         [sum((a[i][t] * b[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
         for i in range(n)

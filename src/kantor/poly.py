@@ -13,10 +13,11 @@ indeterminate name, in the order names are first seen, an index i; the
 exponent of name i sits in the 16-bit field at bit 16*i (``_WIDTH``, from
 which the whole layout derives).  Multiplying two monomials is adding their
 ints, the constant monomial is ``0``, and taking the coefficients in one
-name or a set of names is a shift and a mask.  Every exponent must be below
-2**15 (``MAX_EXPONENT``): the top bit of each field is a guard, and a
-product or power that reaches it raises :class:`ExponentOverflow`, a
-``ValueError``, instead of carrying into the next field.  The guards also
+name or a set of names is a shift and a mask (``_split``, the one grouping
+of the keys).  Every exponent must be below 2**15 (``MAX_EXPONENT``): the
+top bit of each field is a guard, and a product or power that reaches it
+raises :class:`ExponentOverflow`, a ``ValueError``, instead of carrying
+into the next field.  The guards also
 decide divisibility: m divides k iff ``(k - m) & _GUARD == 0``, since a
 field of k below m's borrows and sets its guard bit (``reduce_monomials``).
 The gcd of the monomials is the per-field minimum over the fields of the
@@ -57,8 +58,9 @@ anywhere.  A polynomial keeps its hash from the first call, which is sound
 because it never changes; pickling rebuilds it without the hash, since
 packed keys, and so the hash, are per process.  ``primitive()`` splits off
 the content: it clears any ``Fraction`` by the lcm of the denominators in
-integers and divides by the signed gcd with exact ``//``, so the case
-split keeps its constraints as integer polynomials.
+integers (``_cleared``, the one integer scaling) and divides by the signed
+gcd with exact ``//``, so the case split keeps its constraints as integer
+polynomials.
 
 Every product goes through one kernel, ``sum_of_products(pairs)``, which
 adds the term products of all ``(a, b)`` pairs into one term map, checks
@@ -83,7 +85,9 @@ cached per key (``_printed``), like its readable monomial (``_decode``).
 The sort key is flat, ``(degree, name1, exp1, name2, exp2, ...)``: names
 and exponents alternate in the same places in every key, so it orders terms
 exactly as ``(degree, readable monomial)`` does, with cheaper comparisons.
-``parse_poly`` reads the same syntax back.
+``parse_poly`` reads the same syntax back.  A sign, leading or after an
+operator, applies to the power after it, as in Python: ``-x^2`` is
+``-(x^2)``, ``2*-x^2`` is ``-2*x^2`` and ``2*+x`` is ``2*x``.
 """
 
 from __future__ import annotations
@@ -176,6 +180,12 @@ def _printed(key: int) -> Tuple[tuple, str]:
 
 
 _FIRST = operator.itemgetter(0)
+
+
+def _cleared(terms: Dict[int, Scalar], d: int) -> Dict[int, int]:
+    """``d`` times a term map, in integers: ``d`` is a multiple of every coefficient's denominator."""
+    return {key: c * d if type(c) is int else c.numerator * (d // c.denominator)
+            for key, c in terms.items()}
 
 
 def _as_coeff(value) -> Scalar:
@@ -289,18 +299,8 @@ class Poly:
         shift = _SHIFT.get(name)
         if shift is None:
             return {0: self} if self.terms else {}
-        groups: Dict[int, Dict[int, Scalar]] = {}
-        for key, coeff in self.terms.items():
-            e = (key >> shift) & _FIELD
-            if e:
-                key -= e << shift
-            bucket = groups.get(e)
-            if bucket is None:
-                bucket = groups[e] = {}
-            # Distinct monomials with the same power of ``name`` keep distinct
-            # rests, so no coefficient is summed and none can vanish here.
-            bucket[key] = coeff
-        return {e: _from_normalized(bucket) for e, bucket in groups.items()}
+        return {selected >> shift: _from_normalized(rest)
+                for selected, rest in self._split(_FIELD << shift).items()}
 
     def at_zero(self, name: str) -> "Poly":
         """``self.substitute({name: 0})``: the terms free of ``name``, kept by one
@@ -331,8 +331,7 @@ class Poly:
         except TypeError:
             # A Fraction coefficient: clear the denominators first.
             den = math.lcm(*(c.denominator for c in terms.values()))
-            terms = {key: c * den if type(c) is int else c.numerator * (den // c.denominator)
-                     for key, c in terms.items()}
+            terms = _cleared(terms, den)
             g = math.gcd(*terms.values())
         if self.first_coefficient() < 0:
             g = -g
@@ -385,12 +384,22 @@ class Poly:
                 mask |= _FIELD << shift
         if not mask:
             return {(): self} if self.terms else {}
+        return {_decode(selected): _from_normalized(rest)
+                for selected, rest in self._split(mask).items()}
+
+    def _split(self, mask: int) -> Dict[int, Dict[int, Scalar]]:
+        """``{selected: rest}``: the terms grouped by the packed part of each key under
+        ``mask``, ``rest`` the term map of the other factors, in canonical form."""
         groups: Dict[int, Dict[int, Scalar]] = {}
         for key, coeff in self.terms.items():
             selected = key & mask
-            # As in coeffs_in, no two terms share both parts.
-            groups.setdefault(selected, {})[key - selected] = coeff
-        return {_decode(sel): _from_normalized(bucket) for sel, bucket in groups.items()}
+            bucket = groups.get(selected)
+            if bucket is None:
+                bucket = groups[selected] = {}
+            # Distinct monomials with the same selected part keep distinct
+            # rests, so no coefficient is summed and none can vanish here.
+            bucket[key - selected] = coeff
+        return groups
 
     # -- arithmetic --------------------------------------------------------
 
@@ -669,14 +678,7 @@ class _Parser:
         return p
 
     def sum(self) -> Poly:
-        kind, value = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
-            self.next()
-            negate = value == "-"
         p = self.product()
-        if negate:
-            p = -p
         while True:
             kind, value = self.peek()
             if kind == "op" and value in "+-":
@@ -705,6 +707,11 @@ class _Parser:
                 return p
 
     def power(self) -> Poly:
+        kind, value = self.peek()
+        if kind == "op" and value in "+-":
+            # A sign applies to the power after it, as in Python: -x^2 is -(x^2).
+            self.next()
+            return -self.power() if value == "-" else self.power()
         p = self.atom()
         kind, value = self.peek()
         if kind == "op" and value == "^":
@@ -730,8 +737,6 @@ class _Parser:
             p = self.sum()
             self.expect_op(")")
             return p
-        if kind == "op" and value == "-":
-            return -self.atom()
         raise ParseError(f"unexpected token in {self.text!r}")
 
 

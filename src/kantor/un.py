@@ -11,10 +11,10 @@ every operator act on every tensor: n^4 ``multiply`` calls in all.  Each
 bracket goes from the contraction's entry map (``product._act``) straight
 to its ``UnElement``, through ``UnElement._from_entries``: no tensor is
 built in between and nothing is checked twice.  An operator that is zero
-(u_i = 0 for a(i,j)^k) gives zero rows without acting.  The public
-constructor ``UnElement(n, coeffs)`` still checks every index and coerces
-every coefficient; either way ``coeffs`` holds nonzero values in sorted
-index order.
+(u_i = 0 for a(i,j)^k) gives zero rows, all one shared zero element,
+without acting.  The public constructor ``UnElement(n, coeffs)`` still
+checks every index and coerces every coefficient; either way ``coeffs``
+holds nonzero values in sorted index order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from .algebra import Element, Multiplication, render_combination
 from .errors import DimMismatch, IndexOutOfRange
-from .poly import Poly
+from .poly import Poly, _coerce_strict
 from .product import _act, _sparse, kantor_product, left_operator
 
 Index = Tuple[int, int, int]
@@ -52,11 +52,11 @@ class UnElement:
             i, j, k = idx
             if not (1 <= i <= n and 1 <= j <= n and 1 <= k <= n):
                 raise IndexOutOfRange(f"{idx} out of range for U({n})")
-            poly = value if isinstance(value, Poly) else Poly.const(value)
+            poly = _coerce_strict(value)
             if not poly.is_zero():
                 cleaned[idx] = poly
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("UnElement is immutable")
@@ -148,7 +148,7 @@ def un_table(n: int, u: Element | None = None) -> List[Tuple[Index, Index, UnEle
     u = _reference_vector(n, u)
     indices = basis_indices(n)
     tensors = [elementary(*idx, n) for idx in indices]
-    rows = []
+    zero, rows = UnElement(n), []
     for first, x in zip(indices, tensors):
         sparse = _sparse(left_operator(x, u))
         if any(sparse[0]):
@@ -157,7 +157,7 @@ def un_table(n: int, u: Element | None = None) -> List[Tuple[Index, Index, UnEle
                 for second, y in zip(indices, tensors)
             )
         else:
-            rows.extend((first, second, UnElement(n)) for second in indices)
+            rows.extend((first, second, zero) for second in indices)
     return rows
 
 

@@ -1,7 +1,9 @@
 """A graded transposed Poisson algebra on generators L_i, I_j (i, j in Z).
 
 Elements are finitely supported rational combinations of the generators.
-The bracket is
+Their coefficients, like the shift ``a``, follow ``Poly``'s rule
+(``poly._as_coeff``): an ``int`` when integral, else a ``Fraction``; a
+float raises ``TypeError``.  The bracket is
 
     [L_m, L_n] = (m - n) L_{m+n},   [L_m, I_n] = (m - n - a) I_{m+n},
 
@@ -19,17 +21,12 @@ straight from the Kantor definition and serve as the independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Tuple
 
 from .algebra import render_combination
-from .poly import Poly, _as_coeff
+from .poly import Poly, Scalar, _as_coeff
 
 Gen = Tuple[str, int]
-
-
-def _as_fraction(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(_as_coeff(value))
 
 
 class GradedElement:
@@ -37,13 +34,13 @@ class GradedElement:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Gen, Fraction] | None = None):
-        cleaned: Dict[Gen, Fraction] = {}
+    def __init__(self, terms: Dict[Gen, Scalar] | None = None):
+        cleaned: Dict[Gen, Scalar] = {}
         for gen, coeff in (terms or {}).items():
             kind, index = gen
             if kind not in ("L", "I"):
                 raise ValueError(f"unknown generator kind {kind!r}")
-            coeff = _as_fraction(coeff)
+            coeff = _as_coeff(coeff)
             if coeff:
                 cleaned[(kind, int(index))] = coeff
         object.__setattr__(self, "terms", cleaned)
@@ -58,14 +55,14 @@ class GradedElement:
     def __add__(self, other: "GradedElement") -> "GradedElement":
         out = dict(self.terms)
         for gen, coeff in other.terms.items():
-            out[gen] = out.get(gen, Fraction(0)) + coeff
+            out[gen] = out.get(gen, 0) + coeff
         return GradedElement(out)
 
     def __sub__(self, other: "GradedElement") -> "GradedElement":
         return self + other.scale(-1)
 
     def scale(self, factor) -> "GradedElement":
-        factor = _as_fraction(factor)
+        factor = _as_coeff(factor)
         return GradedElement({gen: coeff * factor for gen, coeff in self.terms.items()})
 
     def __eq__(self, other) -> bool:
@@ -85,22 +82,22 @@ class GradedElement:
 
 
 def L(index: int) -> GradedElement:
-    return GradedElement({("L", index): Fraction(1)})
+    return GradedElement({("L", index): 1})
 
 
 def I(index: int) -> GradedElement:
-    return GradedElement({("I", index): Fraction(1)})
+    return GradedElement({("I", index): 1})
 
 
 @dataclass(frozen=True)
 class WittConfig:
     """Bracket shift ``a`` and dot weight ``w``."""
 
-    a: Fraction = Fraction(0)
+    a: Scalar = 0
     w: GradedElement = None
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
+        object.__setattr__(self, "a", _as_coeff(self.a))
         if self.w is None:
             object.__setattr__(self, "w", L(0))
 
@@ -138,9 +135,9 @@ def _bracket_gen(gx: Gen, gy: Gen, cfg: WittConfig) -> GradedElement:
     if kx == "L" and ky == "L":
         return L(ix + iy).scale(ix - iy)
     if kx == "L" and ky == "I":
-        return I(ix + iy).scale(Fraction(ix - iy) - cfg.a)
+        return I(ix + iy).scale(ix - iy - cfg.a)
     if kx == "I" and ky == "L":
-        return I(ix + iy).scale(-(Fraction(iy - ix) - cfg.a))
+        return I(ix + iy).scale(-(iy - ix - cfg.a))
     return GradedElement.zero()
 
 
@@ -165,7 +162,7 @@ def _star_gen(gx: Gen, gy: Gen, u: GradedElement, cfg: WittConfig) -> GradedElem
             if ku == "L" and kw == "L":
                 total = total + L(i + j + k + n).scale(-(k + n) * cu * cw)
             elif (ku, kw) in (("L", "I"), ("I", "L")):
-                total = total + I(i + j + k + n).scale(-(Fraction(k + n) + cfg.a) * cu * cw)
+                total = total + I(i + j + k + n).scale(-(k + n + cfg.a) * cu * cw)
     else:
         for ku, k, cu, kw, n, cw in _uw_pairs(u, cfg):
             if ku == "L" and kw == "L":
@@ -190,7 +187,7 @@ def _curly_gen(gx: Gen, gy: Gen, u: GradedElement, cfg: WittConfig) -> GradedEle
         # The I-target coefficient picks up the bracket shift: (j - i + a).
         for ku, k, cu, kw, n, cw in _uw_pairs(u, cfg):
             if ku == "L" and kw == "L":
-                total = total + I(i + j + k + n).scale((Fraction(j - i) + cfg.a) * cu * cw)
+                total = total + I(i + j + k + n).scale((j - i + cfg.a) * cu * cw)
     return total
 
 

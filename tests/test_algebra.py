@@ -21,6 +21,8 @@ from kantor.catalog import load_catalog
 from kantor.errors import DimMismatch, SingularMatrix, SymbolicEntries
 from kantor.linsolve import mat_identity, mat_inverse, mat_mul, rank
 from kantor.poly import Poly, parse_poly
+from kantor.un import UnElement
+from kantor.witt import GradedElement
 
 
 def rand_mult(rng, dim):
@@ -189,6 +191,22 @@ def test_element_coerces_only_coordinates_that_are_not_polys():
             Element([a, bad])
         with pytest.raises(TypeError):
             Element([bad])
+
+
+@pytest.mark.parametrize("value, name", [
+    (parse_poly("x + 1"), "terms"),
+    (parse_poly("x + 1"), "_hash"),
+    (Element([1, "x"]), "coords"),
+    (Multiplication.from_table(1, {(1, 1, 1): 1}), "entries"),
+    (UnElement.basis(1, 1, 1, 1), "coeffs"),
+    (GradedElement({("L", 0): 1}), "terms"),
+], ids=["Poly", "Poly-hash", "Element", "Multiplication", "UnElement", "GradedElement"])
+def test_value_types_refuse_attribute_assignment(value, name):
+    # A Poly's cached hash is sound only because its terms never change.
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(value, name, None)
+    with pytest.raises(AttributeError, match="is immutable"):
+        value.extra = None
 
 
 def oracle_annihilator_dim(m):

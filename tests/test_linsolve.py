@@ -9,7 +9,6 @@ from kantor.algebra import Subspace
 from kantor.errors import InconsistentSystem, NonlinearInput, SingularMatrix
 from kantor.linsolve import (
     LinearSolution,
-    _eliminate,
     mat_identity,
     mat_inverse,
     mat_mul,
@@ -18,7 +17,7 @@ from kantor.linsolve import (
     rref,
     solve_linear,
 )
-from kantor.poly import Poly, parse_poly, substitute_each
+from kantor.poly import Poly, parse_poly
 from kantor.witt import GradedElement, L, WittConfig
 
 
@@ -68,8 +67,9 @@ def test_in_span():
     lambda: GradedElement({("L", 0): 0.1}),
     lambda: WittConfig(a=0.1),
     lambda: L(1).scale(0.1),
+    lambda: mat_mul([[0.5]], [[2]]),
 ], ids=["rref", "nullspace", "mat_inverse", "from_vectors", "contains", "GradedElement",
-        "WittConfig", "scale"])
+        "WittConfig", "scale", "mat_mul"])
 def test_floats_are_not_exact_scalars(call):
     with pytest.raises(TypeError, match="not an exact scalar"):
         call()
@@ -278,36 +278,18 @@ def test_solve_linear_ignores_exact_duplicates(system):
         assert outcome == (former, free, tuple(UNKNOWNS))
 
 
-def exact_dedupe_solve_linear(system, unknowns):
-    """``solve_linear`` written out as a reference: exact duplicates dropped, every distinct row eliminated."""
-    unknowns = list(unknowns)
-    ncols = len(unknowns)
-    index = {((name, 1),): i for i, name in enumerate(unknowns)}
-    index[()] = ncols
-    system = list(dict.fromkeys(system))
-    rows = []
+def gauss_jordan_solve_linear(system, unknowns):
+    """A dense textbook Gauss-Jordan reference for ``solve_linear``, with no ``_eliminate``.
+
+    Every equation, repeated or not, is a dense row, reduced with the first
+    nonzero pivot (``dense_rref``); the reduced row echelon form is unique, so
+    the two must agree.
+    """
     for p in system:
-        row = {}
-        for mono, coeff in p.monomials():
-            col = index.get(mono)
-            if col is None:
-                if len(mono) != 1 or mono[0][1] != 1:
-                    raise NonlinearInput(f"not affine in the unknowns: {p}")
-                raise NonlinearInput(f"foreign symbol {mono[0][0]!r} in {p}")
-            row[col] = F(coeff)
-        rows.append(row)
-    reduced, pivots = _eliminate(rows, ncols + 1)
-    if pivots and pivots[-1] == ncols:
-        raise InconsistentSystem("system has no solution")
-    assignments = {}
-    for row, pcol in zip(reduced, pivots):
-        terms = {(): -row[ncols]} if ncols in row else {}
-        for col in sorted(row):
-            if col != pcol and col != ncols:
-                terms[((unknowns[col], 1),)] = -row[col]
-        assignments[unknowns[pcol]] = Poly(terms)
-    free = tuple(name for name in unknowns if name not in assignments)
-    assert all(p.is_zero() for p in substitute_each(system, assignments))
+        if any(mono and (len(mono) != 1 or mono[0][1] != 1 or mono[0][0] not in unknowns)
+               for mono, _ in p.monomials()):
+            raise NonlinearInput(f"not affine in the unknowns: {p}")
+    assignments, free = former_solve_linear(system, unknowns)
     return LinearSolution(tuple(unknowns), assignments, free)
 
 
@@ -331,15 +313,14 @@ def _result(solve, system):
     try:
         sol = solve(system, UNKNOWNS)
     except (InconsistentSystem, NonlinearInput) as exc:
-        return type(exc), str(exc)
-    assignments = [(name, list(p.terms.items())) for name, p in sol.assignments.items()]
-    return assignments, sol.free, sol.unknowns
+        return type(exc)
+    return list(sol.assignments.items()), sol.free, sol.unknowns
 
 
 @settings(max_examples=200, deadline=None)
 @given(scaled_systems())
-def test_solve_linear_with_scaled_copies_matches_the_exact_dedupe_reference(system):
-    assert _result(solve_linear, system) == _result(exact_dedupe_solve_linear, system)
+def test_solve_linear_with_scaled_copies_matches_the_gauss_jordan_reference(system):
+    assert _result(solve_linear, system) == _result(gauss_jordan_solve_linear, system)
 
 
 def test_solve_linear_names_the_first_offending_equation_once():

@@ -88,6 +88,41 @@ def test_deep_nesting_is_a_parse_error(text):
     assert parse_poly("((x))") == parse_poly("--x") == -parse_poly("---x") == Poly.var("x")
 
 
+def test_a_sign_applies_to_the_power_after_it():
+    x = Poly.var("x")
+    assert parse_poly("2*-x^2") == parse_poly("-2*x^2") == -2 * x ** 2
+    assert parse_poly("a - -b^2") == parse_poly("a + b^2")
+    assert parse_poly("2*-3^2") == -18
+    assert parse_poly("(-x)^2") == x ** 2
+    assert parse_poly("-x^2") == -(x ** 2)
+    assert parse_poly("2*+x") == 2 * x
+
+
+def _expressions():
+    """Text over x, y, small integers, + - *, ^<int>, parentheses and unary signs."""
+    leaves = st.one_of(st.sampled_from(["x", "y"]), st.integers(0, 9).map(str))
+
+    def extend(inner):
+        atoms = st.one_of(leaves, inner.map("({})".format))
+        signs = st.sampled_from(["-", "+", "- "])
+        return st.one_of(
+            st.tuples(inner, st.sampled_from(["+", "-", "*", " + ", " - ", " * "]), inner).map("".join),
+            st.tuples(signs, inner).map("".join),
+            st.tuples(signs | st.just(""), atoms, st.just("^"), st.integers(0, 3).map(str)).map("".join),
+            atoms,
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions(), fractions(), fractions())
+def test_parse_poly_follows_python_precedence(text, x, y):
+    # Python reads the same text, with ** for ^, as the precedence reference.
+    expected = eval(text.replace("^", "**"), {"__builtins__": {}}, {"x": x, "y": y})
+    assert parse_poly(text).substitute({"x": x, "y": y}) == expected
+
+
 def test_split_by_groups_terms():
     p = parse_poly("u1*alpha + u1*b + 3*u2 + 5")
     groups = p.split_by({"u1", "u2"})

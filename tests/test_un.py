@@ -57,6 +57,16 @@ def test_from_mult_agrees_with_the_checked_constructor():
         assert list(trusted.coeffs.items()) == list(checked.coeffs.items())
 
 
+def test_every_constructor_and_sum_keeps_coefficients_in_sorted_index_order():
+    x = UnElement(2, {(2, 1, 1): 1, (1, 2, 2): F(1, 2), (1, 1, 1): 3})
+    assert list(x.coeffs) == [(1, 1, 1), (1, 2, 2), (2, 1, 1)]
+    y = UnElement.basis(2, 2, 2, 2) + UnElement.basis(1, 1, 2, 2)
+    assert list(y.coeffs) == [(1, 1, 2), (2, 2, 2)]
+    assert list((y + x).coeffs) == sorted((y + x).coeffs)
+    assert list(UnElement.from_mult(x.to_mult()).coeffs) == list(x.coeffs)
+    assert list(x.scale(2).coeffs) == list(x.coeffs)
+
+
 def test_dim_one_bracket():
     x = UnElement.basis(1, 1, 1, 1)
     assert un_bracket(x, x) == x.scale(-1)

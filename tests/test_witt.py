@@ -121,3 +121,11 @@ def test_the_bracket_shift_enters_the_mixed_curly_coefficient():
     cfg = WittConfig(a=F(3), w=L(0))
     assert witt_curly(L(1), I(0), L(0), cfg) == witt_bracket(L(1), I(0), cfg).scale(-1)
     assert witt_curly(L(1), I(0), L(0), cfg) == I(1).scale(2)
+
+
+def test_coefficients_follow_the_poly_rule():
+    # An int when integral, else a Fraction, as Poly stores its coefficients.
+    x = GradedElement({("L", 0): F(4, 2), ("I", 1): F(1, 3)}).scale(3)
+    assert [type(c) for c in x.terms.values()] == [int, int]
+    assert type(L(2).scale(F(1, 2)).terms[("L", 2)]) is F
+    assert type(WittConfig(a=F(6, 3)).a) is int
